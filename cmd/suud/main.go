@@ -20,12 +20,13 @@
 // once admission pressure crosses -brownout-threshold. -chaos enables
 // the fault-injection harness (internal/faults) for resilience drills.
 //
-// -store-dir adds a crash-safe durable plan store (internal/store) under
-// the response cache: computed plans persist to an append-only checksummed
-// log and survive restarts, so a warm replica recomputes nothing. -peers
-// (with -self) replicates the store across a static fleet: local misses
-// fall through to the key's ring owners, writes fan out asynchronously,
-// and a restarted replica pulls what it missed before /readyz goes green.
+// Every answer is kept in one in-memory tier of -store-mem-bytes. -store-dir
+// adds a crash-safe durable plan store (internal/store) under it: computed
+// plans persist to an append-only checksummed log and survive restarts, so
+// a warm replica recomputes nothing. -peers (with -self and -store-dir)
+// replicates that store across a static fleet: local misses fall through
+// to the key's ring owners, writes fan out asynchronously, and a restarted
+// replica pulls what it missed before /readyz goes green.
 // -fsync picks the durability point (always | interval | never); the
 // -chaos-disk-* and -chaos-peer-error-p flags inject storage and
 // replication faults for drills.
@@ -55,8 +56,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8650", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent computations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 0, "queue depth before 429s (0 = 4x workers)")
-		cacheCap     = flag.Int("cache-cap", 4096, "cached responses across shards")
-		cacheShards  = flag.Int("cache-shards", 16, "cache shard count")
 		maxTrials    = flag.Int("max-trials", 10000, "per-request Monte Carlo budget")
 		maxBatch     = flag.Int("max-batch", 256, "items per /v1/plan/batch request")
 		maxItemCost  = flag.Int("max-item-cost", 64, "per-item admission cost budget, in n·m/1024 units")
@@ -69,12 +68,12 @@ func main() {
 			"queue-pressure fraction (0..1] at which degraded fallbacks kick in")
 
 		storeDir      = flag.String("store-dir", "", "durable plan store directory (empty = no disk tier)")
-		storeMemBytes = flag.Int64("store-mem-bytes", 64<<20, "in-memory store tier budget in bytes (0 = no mem tier)")
+		storeMemBytes = flag.Int64("store-mem-bytes", 64<<20, "byte budget of the in-memory tier every answer is served from (must be > 0)")
 		fsyncMode     = flag.String("fsync", "interval", "disk store durability: always, interval, or never")
 		fsyncEvery    = flag.Duration("fsync-interval", 100*time.Millisecond, "sync period for -fsync interval")
 		compactBytes  = flag.Int64("store-compact-bytes", 256<<20, "auto-compact the log once it exceeds this and most bytes are dead (0 = off)")
 		self          = flag.String("self", "", "this replica's base URL as peers reach it (required with -peers)")
-		peers         = flag.String("peers", "", "comma-separated replica base URLs, self included; enables the replicated store")
+		peers         = flag.String("peers", "", "comma-separated replica base URLs, self included; replicates the -store-dir store (requires -store-dir)")
 		replication   = flag.Int("replication", 2, "ring owners per key in the replicated store")
 
 		chaos        = flag.Bool("chaos", false, "enable fault injection (the -chaos-* rates)")
@@ -144,16 +143,15 @@ func main() {
 		}
 	}
 
-	// Compose the plan store bottom-up: mem LRU over the disk log, the
-	// replication layer over both. The planner reads through whatever stack
-	// comes out; a nil store means compute-and-LRU only, exactly the old
-	// behavior.
+	if *storeMemBytes <= 0 {
+		trace.Fatal("bad -store-mem-bytes: the memory tier is always on", "got", *storeMemBytes)
+	}
+
+	// The plan store under the planner's memory tier: the disk log, with the
+	// replication layer over it in a fleet. A nil store means compute and
+	// memory only.
 	var planStore store.PlanStore
 	{
-		var tiers []store.PlanStore
-		if *storeMemBytes > 0 {
-			tiers = append(tiers, store.NewMem(*storeMemBytes, 0))
-		}
 		if *storeDir != "" {
 			pol, err := store.ParseFsyncPolicy(*fsyncMode)
 			if err != nil {
@@ -180,14 +178,7 @@ func main() {
 			if err != nil {
 				trace.Fatal("opening store", "dir", *storeDir, "err", err)
 			}
-			tiers = append(tiers, disk)
-		}
-		switch len(tiers) {
-		case 0:
-		case 1:
-			planStore = tiers[0]
-		default:
-			planStore = store.NewTiered(tiers...)
+			planStore = disk
 		}
 		if *peers != "" {
 			var peerList []string
@@ -200,13 +191,13 @@ func main() {
 				trace.Fatal("-peers needs -self (this replica's URL in the peer list)")
 			}
 			if planStore == nil {
-				trace.Fatal("-peers needs a local store tier (-store-dir and/or -store-mem-bytes)")
+				trace.Fatal("-peers needs -store-dir (the local store the fleet replicates)")
 			}
 			rep, err := store.NewReplicated(planStore, store.ReplicatedConfig{
 				Self:        *self,
 				Peers:       peerList,
 				Replication: *replication,
-				HandoffDir:  *storeDir, // hints persist next to the log; empty keeps them in memory
+				HandoffDir:  *storeDir, // hints persist next to the log
 			})
 			if err != nil {
 				trace.Fatal("replicated store", "err", err)
@@ -218,8 +209,7 @@ func main() {
 	planner := service.NewPlanner(service.Config{
 		Workers:           *workers,
 		QueueDepth:        *queue,
-		CacheCap:          *cacheCap,
-		CacheShards:       *cacheShards,
+		MemBytes:          *storeMemBytes,
 		MaxTrials:         *maxTrials,
 		MaxBatchItems:     *maxBatch,
 		MaxItemCost:       *maxItemCost,
@@ -286,7 +276,7 @@ func main() {
 	}
 	trace.Info("serving",
 		"addr", *addr, "workers", cfg.Workers, "queue", cfg.QueueDepth,
-		"cache", fmt.Sprintf("%d/%d", cfg.CacheCap, cfg.CacheShards),
+		"mem_bytes", cfg.MemBytes,
 		"policy", cfg.DegradedPolicy, "brownout", cfg.BrownoutThreshold,
 		"store", storeName, "chaos", inj != nil,
 		"trace_sample", *traceSample, "trace_ring", *traceRing)

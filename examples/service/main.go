@@ -223,7 +223,8 @@ func main() {
 	}
 
 	// The "restart": a fresh store over the same directory, a fresh
-	// planner with an empty LRU. Warmup gates readiness on store recovery.
+	// planner with an empty memory tier. Warmup gates readiness on store
+	// recovery.
 	st2, err := store.Open(storeDir, store.DiskConfig{})
 	if err != nil {
 		log.Fatal(err)

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -46,12 +48,12 @@ type BatchPlanRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Batch item serving sources.
+// Serving sources, shared by the batch items and the single endpoints.
 const (
-	sourceCached    = "cached"    // served from the response LRU
-	sourceComputed  = "computed"  // this batch led the computation
+	sourceCached    = "cached"    // served from the memory tier or Config.Store
+	sourceComputed  = "computed"  // this request led the computation
 	sourceCoalesced = "coalesced" // served off shared work: an in-flight request or an intra-batch duplicate
-	sourceDegraded  = "degraded"  // brownout fallback: LP-free list schedule, never cached
+	sourceDegraded  = "degraded"  // brownout fallback: LP-free list schedule, never kept
 )
 
 // BatchItemResult is one item's outcome. Exactly one of Plan or Error is
@@ -64,10 +66,10 @@ type BatchItemResult struct {
 	Source string        `json:"source,omitempty"`
 	Plan   *PlanResponse `json:"plan,omitempty"`
 	Error  string        `json:"error,omitempty"`
-	// frame is Plan's canonical pre-encoded payload, shared with the
-	// response LRU; the HTTP layer splices it into the batch envelope
-	// instead of re-marshaling Plan. Library callers read Plan and never
-	// see it (unexported, invisible to encoding/json).
+	// frame is the item's canonical pre-encoded payload, shared with the
+	// memory tier; the HTTP layer splices it into the batch envelope, and
+	// PlanBatch decodes Plan from it for library callers (unexported,
+	// invisible to encoding/json).
 	frame []byte
 }
 
@@ -100,9 +102,8 @@ type batchGroup struct {
 	target float64
 	class  dag.Class
 
-	val    any
-	err    error
-	source string
+	sv  served // sv.source alone tags a degraded group until it is minted
+	err error
 }
 
 // PlanBatch computes (or serves from cache) rounded schedules for every
@@ -111,7 +112,21 @@ type batchGroup struct {
 // with an individual item — validation, an over-budget instance, a compute
 // failure, a missed deadline — comes back as that item's error.
 func (p *Planner) PlanBatch(ctx context.Context, req *BatchPlanRequest) (*BatchPlanResponse, error) {
-	return p.planBatchServe(ctx, req, nil)
+	resp, err := p.planBatchServe(ctx, req, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := range resp.Items {
+		it := &resp.Items[i]
+		if it.Status != "ok" {
+			continue
+		}
+		it.Plan = &PlanResponse{}
+		if err := json.Unmarshal(it.frame, it.Plan); err != nil {
+			return nil, fmt.Errorf("service: decoding batch item %d: %w", i, err)
+		}
+	}
+	return resp, nil
 }
 
 // planBatchServe is PlanBatch with the request's trace context; the HTTP
@@ -162,17 +177,17 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		g.idxs = append(g.idxs, i)
 	}
 
-	// Pass 1 — peek the cache (uncounted: if admission rejects the batch
-	// below, no response is delivered and no hit may be claimed) and price
-	// the remaining work. Under brownout pressure, eligible miss groups
-	// take the degraded fallback here — free of admission charge, exactly
-	// like the single path.
+	// Pass 1 — look the groups up in memory (uncounted: if admission
+	// rejects the batch below, no response is delivered and no hit may be
+	// claimed) and price the remaining work. Under brownout pressure,
+	// eligible miss groups take the degraded fallback here — free of
+	// admission charge, exactly like the single path.
 	var misses []*batchGroup
 	totalCost := 0
 	degradeNow := p.pressure() >= p.cfg.BrownoutThreshold
 	for _, g := range order {
-		if v, ok := p.cache.peek(g.key); ok {
-			g.val, g.source = v, sourceCached
+		if frame, ok := p.memGet(g.key); ok {
+			g.sv = newServed(frame, sourceCached)
 			continue
 		}
 		if g.cost > p.cfg.MaxItemCost {
@@ -183,7 +198,7 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 			// Tag now, mint after admission settles: if the batch's
 			// non-degradable remainder rejects below, no response is
 			// delivered and no degraded serve may be counted.
-			g.source = sourceDegraded
+			g.sv.source = sourceDegraded
 			continue
 		}
 		misses = append(misses, g)
@@ -222,7 +237,7 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 			// take the fallback.
 			for _, g := range misses {
 				if p.degradeAllowed(g.class) {
-					g.source = sourceDegraded
+					g.sv.source = sourceDegraded
 				}
 			}
 			misses, totalCost = keep, kept
@@ -233,35 +248,32 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 	// above. Building them after admission keeps the degraded-serve
 	// counter equal to fallbacks actually delivered.
 	for _, g := range order {
-		if g.source == sourceDegraded {
-			dstart := time.Now()
-			resp := p.degradedPlan(g.ins, g.fp, g.target, g.class)
-			p.obsStage(tc, trace.StageDegrade, dstart)
-			cf, err := p.encodeFrame(resp, tc)
+		if g.sv.source == sourceDegraded {
+			sv, err := p.degradedServe(g.ins, g.fp, g.target, g.class, tc)
 			if err != nil {
-				g.err, g.source = err, ""
+				g.err = err
 				continue
 			}
-			g.val = cf
+			g.sv = sv
 		}
 	}
 
 	// The batch is admitted: now record per-item cache accounting. Misses
-	// land before any coalesced counts can (the fan-out below), keeping
+	// land before any coalesced counts can (the tally below), keeping
 	// coalesced ≤ misses — and the reported hit rate ≤ 1 — within any one
 	// /metrics document.
 	for _, g := range order {
 		switch {
-		case g.source == sourceCached:
-			p.cache.hits.Add(uint64(len(g.idxs)))
+		case g.sv.source == sourceCached:
+			p.metrics.cacheHits.Add(uint64(len(g.idxs)))
 		case g.err == nil:
-			p.cache.misses.Add(uint64(len(g.idxs)))
+			p.metrics.cacheMisses.Add(uint64(len(g.idxs)))
 		}
 	}
 
-	// Fan the misses across the worker pool, one resolver per unique key.
-	// Resolvers coalesce against in-flight singles and other batches
-	// through the same flight table the single path uses.
+	// Fan the misses across the worker pool, one resolve per unique key.
+	// They coalesce against in-flight singles and other batches through
+	// the same flight table the single path uses.
 	dctx := ctx
 	if req.DeadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -273,14 +285,17 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 		wg.Add(1)
 		go func(g *batchGroup) {
 			defer wg.Done()
-			p.resolveBatchGroup(dctx, g, tc)
+			g.sv, g.err = p.resolve(dctx, g.key, work{ins: g.ins, class: g.class}, tc, admission{prepaid: g.cost}, nil)
+			if errors.Is(g.err, context.DeadlineExceeded) || errors.Is(g.err, context.Canceled) {
+				g.err = fmt.Errorf("item unfinished at the batch deadline: %w", g.err)
+			}
 		}(g)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		// The client is gone; the response has no reader. Each resolver
+		// The client is gone; the response has no reader. Each resolve
 		// already left its flight: work other callers still want runs to
-		// completion and lands in the cache, the rest stops at its next
+		// completion and lands in memory, the rest stops at its next
 		// checkpoint.
 		return nil, err
 	}
@@ -293,17 +308,14 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 			}
 			continue
 		}
-		cf := g.val.(*cachedFrame)
-		plan := cf.val.(*PlanResponse)
 		for k, i := range g.idxs {
-			src := g.source
+			src := g.sv.source
 			if src == sourceComputed && k > 0 {
 				src = sourceCoalesced // intra-batch duplicate of the computed item
 			}
-			items[i] = BatchItemResult{Status: "ok", Source: src, Plan: plan, frame: cf.frame}
+			items[i] = BatchItemResult{Status: "ok", Source: src, frame: g.sv.frame}
 		}
 	}
-	coalescedItems := 0
 	for i := range items {
 		switch {
 		case items[i].Status == "error":
@@ -317,99 +329,24 @@ func (p *Planner) planBatch(ctx context.Context, req *BatchPlanRequest, tc *trac
 			resp.Degraded++
 		default:
 			resp.Coalesced++
-			coalescedItems++
 		}
 		resp.OK++
 	}
-	// Items served off shared work (flight followers, raced-cache peeks,
-	// intra-batch duplicates) recorded a miss above but recomputed
-	// nothing; fold them into the shared-work bucket exactly like the
-	// single path's markShared.
+	// Every item of a resolved group recorded a miss above; all but the
+	// one a computing group computed were served off shared work (flight
+	// followers, memory or store answers, intra-batch duplicates) and fold
+	// into the shared-work bucket exactly like a single's shared serve.
+	coalescedItems := 0
+	for _, g := range misses {
+		if g.err == nil {
+			coalescedItems += len(g.idxs)
+			if g.sv.source == sourceComputed {
+				coalescedItems--
+			}
+		}
+	}
 	if coalescedItems > 0 {
 		p.metrics.coalesced.Add(uint64(coalescedItems))
 	}
 	return resp, nil
-}
-
-// resolveBatchGroup serves one unique uncached key: join the flight as a
-// follower, or lead — re-checking the cache for a raced flight first, then
-// computing on a worker slot via a detached, panic-isolated spawn. The
-// group's admission charge is released the moment it is known not to be
-// queued work anymore (follower join, raced-cache hit, or slot acquired).
-func (p *Planner) resolveBatchGroup(ctx context.Context, g *batchGroup, tc *trace.Ctx) {
-	c, follower := p.flight.join(g.key)
-	if follower {
-		p.queued.Add(-int64(g.cost)) // someone else computes; nothing queued
-		g.source = sourceCoalesced
-		fstart := time.Now()
-		p.await(ctx, g, c)
-		p.obsStage(tc, trace.StageFlight, fstart)
-		return
-	}
-	if v, ok := p.cache.peek(g.key); ok {
-		// A racing flight landed between our peek in pass 1 and the join.
-		p.flight.finish(g.key, c, v, nil)
-		p.queued.Add(-int64(g.cost))
-		g.val, g.source = v, sourceCoalesced
-		return
-	}
-	if v, ok := p.storeGet(g.key, tc); ok {
-		// The durable store holds this plan (this node's disk, or a
-		// peer's): serve it without a slot, exactly like the raced-cache
-		// path — it recorded a miss but computes nothing.
-		p.flight.finish(g.key, c, v, nil)
-		p.queued.Add(-int64(g.cost))
-		g.val, g.source = v, sourceCoalesced
-		return
-	}
-	ins, fp, target, class, cost := g.ins, g.fp, g.target, g.class, g.cost
-	p.spawn(g.key, c, tc, func() (any, error) {
-		// Block for a worker slot (admission already charged the line) —
-		// unless every caller abandons the flight first, in which case the
-		// queued charge is refunded and the work never starts.
-		qstart := time.Now()
-		select {
-		case p.slots <- struct{}{}:
-		case <-c.abandoned:
-			p.queued.Add(-int64(cost))
-			p.metrics.deadlineAbandoned.Add(1)
-			return nil, errAbandoned
-		}
-		p.queued.Add(-int64(cost))
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computePlan(ins, fp, target, class, c.abandoned, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.metrics.plansComputed.Add(1)
-		p.cache.put(g.key, cf)
-		p.storePut(g.key, cf, tc)
-		return cf, nil
-	})
-	g.source = sourceComputed
-	p.await(ctx, g, c)
-}
-
-// await waits for the group's flight under the batch's (possibly
-// deadline-bounded) context. A deadline expiry becomes this item's error
-// and leaves the flight: with other callers still attached the detached
-// computation runs to completion and lands in the cache; stranded alone,
-// it stops at its next checkpoint.
-func (p *Planner) await(ctx context.Context, g *batchGroup, c *flightCall) {
-	select {
-	case <-c.done:
-		g.val, g.err = c.val, c.err
-		if sv, ok := g.val.(storeServed); ok {
-			// The flight we coalesced onto was answered from the store.
-			g.val = sv.val
-		}
-	case <-ctx.Done():
-		p.flight.leave(g.key, c)
-		g.err = fmt.Errorf("item unfinished at the batch deadline: %w", ctx.Err())
-	}
 }

@@ -31,7 +31,6 @@ func TestBatchConcurrentSharedFingerprints(t *testing.T) {
 	p := smallPlanner(func(c *Config) {
 		c.Workers = 4
 		c.QueueDepth = 4096 // the test measures dedupe, not shedding
-		c.CacheCap = 4096   // no eviction: every fingerprint computes once, ever
 	})
 	var wg sync.WaitGroup
 	errCh := make(chan error, 128)

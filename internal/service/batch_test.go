@@ -247,7 +247,7 @@ func TestBatchDeadlinePartialResults(t *testing.T) {
 	}
 	<-p.slots // free the worker
 	key := requestKey{fp: sched.FingerprintInstance(cold.Instance), kind: kindPlan, target: 0.5}
-	if _, ok := p.cache.peek(key); ok {
+	if _, ok := p.memGet(key); ok {
 		t.Fatal("abandoned batch computation landed in the cache")
 	}
 	// A retry recomputes the item from scratch and succeeds.

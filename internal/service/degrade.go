@@ -12,7 +12,7 @@ import (
 // O(n·m) and allocation-light, so it stays cheap exactly when the planner
 // is drowning. The response is openly degraded: Degraded is set, TStar
 // and LowerBound stay zero (the fallback carries no optimality
-// certificate), and it is never written to the response cache or shared
+// certificate), and it is never kept in memory or the store, or shared
 // through the flight table — a retry after the storm, or a concurrent
 // caller patient enough to queue, gets the real LP-rounded plan.
 func (p *Planner) degradedPlan(ins *model.Instance, fp sched.Fingerprint, target float64, class dag.Class) *PlanResponse {

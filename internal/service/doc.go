@@ -20,20 +20,25 @@
 //     and a singleflight group keyed by (fingerprint, kind, params) lets
 //     one computation serve every concurrent caller asking the same
 //     question.
-//   - Finished responses land in a sharded, bounded LRU cache under the
-//     same content-addressed keys, so repeated instances — the common case
-//     for a planner fronting a fleet of similar workloads — are served
-//     from memory. Shards each carry their own lock; the cache is exercised
-//     under -race by the package tests.
+//   - One pipeline, resolve, serves every endpoint: a memory hit returns
+//     at once; a miss joins the key's flight; the flight leader re-checks
+//     memory, then reads Config.Store, and only then pays admission,
+//     computes, encodes once, and keeps the result. The memory tier is a
+//     store.Mem the planner owns — a sharded, byte-budgeted LRU
+//     (Config.MemBytes) of canonical response frames under the same
+//     content-addressed keys — so repeated instances, the common case for
+//     a planner fronting a fleet of similar workloads, are served from
+//     memory without a decode. Config.Store is whatever lies below it:
+//     the disk log, a replicated store over it, or a test's store.
 //   - Batches amortize the HTTP and JSON overhead: /v1/plan/batch
 //     (Planner.PlanBatch) takes a list of plan items per request and
-//     resolves each independently — cache hits immediately, duplicates
+//     resolves each independently — memory hits immediately, duplicates
 //     deduped within the batch by fingerprint before any flight
 //     registration, the rest fanned across the same worker pool and
 //     coalesced against in-flight singles and other batches. Items fail
 //     individually (validation, per-item cost budget, compute errors, a
 //     missed DeadlineMS in partial-results mode), never the batch; item
-//     payloads are the canonical cached values, with the serving source
+//     payloads are the canonical frames, with the serving source
 //     ("cached"/"computed"/"coalesced") in the per-item envelope. Batch
 //     admission is the first cut of cost-model backpressure: each
 //     to-be-computed item charges ⌈n·m/1024⌉ units (1 unit = the n=64,
@@ -60,8 +65,8 @@
 // requests to graceful degradation: instead of a 429 they receive a cheap
 // LP-free greedy fallback plan (internal/baseline list scheduling) marked
 // "degraded": true with no certificate (TStar and LowerBound zero).
-// Degraded plans never enter the response cache and never register in the
-// flight table — they are emergency output, not the canonical answer.
+// Degraded plans never enter the memory tier, the flight table, or the
+// store — they are emergency output, not the canonical answer.
 // DegradeIndependent limits fallbacks to independent-job instances, where
 // greedy list scheduling is a principled approximation; DegradeAll extends
 // them to precedence-constrained instances whose fallback ignores chain
@@ -73,7 +78,7 @@
 // before an LP solve, between Monte Carlo chunks). A computation every
 // waiter has abandoned stops early and refunds its queue charge — unless
 // other callers coalesced onto it, in which case it runs to completion for
-// them. A started LP solve always finishes and caches: solves are the
+// them. A started LP solve always finishes and is kept: solves are the
 // expensive indivisible unit, so their work is never thrown away.
 //
 // Config.ComputeHook is the fault-injection seam: the planner calls it at
@@ -89,30 +94,32 @@
 // in-flight requests drain. Every accepted request reaches a terminal
 // response during drain; Close waits for detached work.
 //
-// Responses handed out by the Planner are shared (cached and coalesced
-// callers receive the same pointers); callers must treat them as
-// immutable. The HTTP layer never mutates them — and, on hits, never
-// re-serializes them either (see Wire format).
+// Library callers (Plan, Estimate, PlanBatch) get a struct decoded from
+// the served frame, their own to keep. The HTTP layer never decodes or
+// re-serializes a served payload (see Wire format).
 //
 // # Wire format
 //
 // Every plan and estimate payload is served from a canonical frame: the
 // compact (non-indented) json.Marshal encoding of the response struct
 // with the serving flags (Cached, Coalesced) false, produced exactly once
-// when the response is computed. The response LRU, the in-flight
-// coalescing table, and the durable store all carry the frame next to the
-// decoded struct (cachedFrame), so the same bytes flow through every
+// when the response is computed. The memory tier, the in-flight
+// coalescing table, and the durable store all carry that frame — no
+// decoded struct rides along — so the same bytes flow through every
 // tier:
 //
 //   - /v1/plan and /v1/estimate write the frame directly, splicing the
 //     caller's serving flags over the constant-size "cached":false tail —
-//     a cache or coalesced hit performs zero json.Marshal of the payload.
+//     a memory or coalesced hit performs no json.Marshal or Unmarshal of
+//     the payload.
 //   - /v1/plan/batch streams a hand-written envelope and copies each
 //     item's pre-encoded frame verbatim; item payloads are byte-identical
 //     to the canonical encoding regardless of how the item was resolved.
 //   - The durable store persists the frame inside its envelope
-//     (json.RawMessage, never re-marshaled), so a disk or peer hit
-//     re-enters the zero-copy path with the exact bytes the original
+//     (json.RawMessage, never re-marshaled). Bytes read from disk or a
+//     peer come from outside the process, so they are fully decoded and
+//     checked once (decodeStored) before they enter memory; from there a
+//     hit re-enters the zero-copy path with the exact bytes the original
 //     computation produced.
 //
 // The contract this buys: payload bytes are byte-stable across the single

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -11,12 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Zero-copy serving: the response LRU, the flight table, and the durable
-// store all move cachedFrame values — the canonical decoded response
-// paired with its compact wire encoding, produced exactly once (at compute
-// time, or at store-decode time where the envelope already carries the
-// bytes). Serving a hit is then a byte splice into the response, never a
-// re-encode: the frame is shared read-only by every caller that hits it.
+// Zero-copy serving: the memory tier, the flight table, and the durable
+// store all move canonical frames — a response's compact wire encoding,
+// produced exactly once when it is computed. Serving a hit is then a byte
+// splice into the response, never a re-encode: the frame is shared
+// read-only by every caller that hits it. Only library callers
+// (Planner.Plan, Estimate, PlanBatch) decode a frame back into a struct.
 //
 // The canonical payload frame is json.Marshal of the response struct with
 // the serving flags (Cached, Coalesced) false — exactly the encoding batch
@@ -26,36 +27,24 @@ import (
 // frameTail is the canonical frame's closing bytes: Cached is the last
 // always-encoded field of both PlanResponse and EstimateResponse, and the
 // canonical value is false (Coalesced and Degraded are omitempty and false
-// in anything cached). Splicing a hit's serving flags replaces this tail
-// in place of re-encoding the payload.
+// in anything kept). Splicing a hit's serving flags replaces this tail in
+// place of re-encoding the payload.
 const frameTail = `"cached":false}`
 
-// cachedFrame pairs a canonical response with its pre-encoded payload
-// frame. Both are shared between callers and must be treated as immutable.
-type cachedFrame struct {
-	val   any    // *PlanResponse or *EstimateResponse, serving flags false
-	frame []byte // canonical compact JSON encoding of val
-	// splice is the offset of frameTail within frame, or -1 when the tail
-	// is not where the canonical encoder puts it (degraded payloads, or a
-	// future field reorder) — such frames are served verbatim or fall back
-	// to a flag-bearing re-encode.
-	splice int
-}
-
-// newCachedFrame wraps an already-encoded canonical frame.
-func newCachedFrame(v any, frame []byte) *cachedFrame {
-	cf := &cachedFrame{val: v, frame: frame, splice: len(frame) - len(frameTail)}
-	if cf.splice < 0 || string(frame[cf.splice:]) != frameTail {
-		cf.splice = -1
+// spliceAt returns the offset of frameTail within frame, or -1 when the
+// tail is not where the canonical encoder puts it (a degraded payload).
+func spliceAt(frame []byte) int {
+	at := len(frame) - len(frameTail)
+	if at < 0 || string(frame[at:]) != frameTail {
+		return -1
 	}
-	return cf
+	return at
 }
 
 // encodeFrame produces the canonical frame for a freshly built response —
-// the one cold encode a cacheable payload ever gets. Metered into the
-// encode_ns histogram, the cold-encode counter, and the request's encode
-// stage span.
-func (p *Planner) encodeFrame(v any, tc *trace.Ctx) (*cachedFrame, error) {
+// the one cold encode a payload ever gets. Metered into the encode_ns
+// histogram, the cold-encode counter, and the request's encode stage span.
+func (p *Planner) encodeFrame(v any, tc *trace.Ctx) ([]byte, error) {
 	start := time.Now()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -63,72 +52,57 @@ func (p *Planner) encodeFrame(v any, tc *trace.Ctx) (*cachedFrame, error) {
 	}
 	p.metrics.observeEncode(time.Since(start))
 	p.obsStage(tc, trace.StageEncode, start)
-	return newCachedFrame(v, b), nil
+	return b, nil
 }
 
 // served is how a resolved request travels to the HTTP layer: the shared
-// frame plus the serving flags that belong to this caller's envelope, not
-// to the canonical payload.
+// frame, where its serving flags splice in, and how it was served — the
+// flags belong to this caller's envelope, not to the canonical payload.
 type served struct {
-	cf        *cachedFrame
-	cached    bool
-	coalesced bool
+	frame  []byte
+	splice int    // spliceAt(frame)
+	source string // sourceCached, sourceCoalesced, sourceComputed or sourceDegraded
 }
 
-// planResponse materializes the struct view of a served plan for library
-// callers, copying only when a serving flag must differ from the
-// canonical (flags-false) value.
-func (sv served) planResponse() *PlanResponse {
-	resp := sv.cf.val.(*PlanResponse)
-	if !sv.cached && !sv.coalesced {
-		return resp
-	}
-	c := *resp
-	c.Cached, c.Coalesced = sv.cached, sv.coalesced
-	return &c
+func newServed(frame []byte, source string) served {
+	return served{frame: frame, splice: spliceAt(frame), source: source}
 }
 
-// estimateResponse is planResponse for estimates.
-func (sv served) estimateResponse() *EstimateResponse {
-	resp := sv.cf.val.(*EstimateResponse)
-	if !sv.cached && !sv.coalesced {
-		return resp
+// flags are the payload's serving flags for this caller.
+func (sv served) flags() (cached, coalesced bool) {
+	return sv.source == sourceCached, sv.source == sourceCoalesced
+}
+
+// spliced reports whether the payload was served off a frame this
+// caller did not encode: a memory or store hit, or another caller's
+// flight.
+func (sv served) spliced() bool {
+	cached, coalesced := sv.flags()
+	return cached || coalesced
+}
+
+// decode builds the struct view of a served payload for library callers.
+func (sv served) decode(dst any) error {
+	if err := json.Unmarshal(sv.frame, dst); err != nil {
+		return fmt.Errorf("service: decoding served frame: %w", err)
 	}
-	c := *resp
-	c.Cached, c.Coalesced = sv.cached, sv.coalesced
-	return &c
+	return nil
 }
 
 // appendServed writes the payload with this caller's serving flags spliced
 // into the canonical frame: the frame bytes are shared, never mutated, and
 // only the constant-size tail differs between callers. Flags-false serves
-// (computed, degraded) copy the frame verbatim.
+// (computed, degraded) copy the frame verbatim. Every frame in memory, in
+// flight, or read from a store carries the canonical tail (decodeStored
+// checks it), so a flagged serve always splices.
 func appendServed(buf *bytes.Buffer, sv served) {
-	cf := sv.cf
-	if !sv.cached && !sv.coalesced {
-		buf.Write(cf.frame)
+	cached, coalesced := sv.flags()
+	if (!cached && !coalesced) || sv.splice < 0 {
+		buf.Write(sv.frame)
 		return
 	}
-	if cf.splice < 0 {
-		// The tail is not where the splice expects it; re-encode with the
-		// flags set rather than emit a corrupt document. Unreachable for
-		// frames the canonical encoder produced.
-		var b []byte
-		switch v := cf.val.(type) {
-		case *PlanResponse:
-			c := *v
-			c.Cached, c.Coalesced = sv.cached, sv.coalesced
-			b, _ = json.Marshal(&c)
-		case *EstimateResponse:
-			c := *v
-			c.Cached, c.Coalesced = sv.cached, sv.coalesced
-			b, _ = json.Marshal(&c)
-		}
-		buf.Write(b)
-		return
-	}
-	buf.Write(cf.frame[:cf.splice])
-	if sv.cached {
+	buf.Write(sv.frame[:sv.splice])
+	if cached {
 		buf.WriteString(`"cached":true}`)
 	} else {
 		buf.WriteString(`"cached":false,"coalesced":true}`)

@@ -23,7 +23,7 @@ func FuzzPlanRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"instance":{"m":1,"n":1,"q":[[0.5]]},"target":1e999}`))
 	f.Add([]byte(`not json at all`))
 
-	p := smallPlanner(func(c *Config) { c.Workers = 2; c.QueueDepth = 64; c.CacheCap = 256 })
+	p := smallPlanner(func(c *Config) { c.Workers = 2; c.QueueDepth = 64 })
 	srv := NewServer(p)
 	srv.maxBody = 64 << 10
 

@@ -85,13 +85,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writePayload serves a single plan/estimate response zero-copy: the
 // pre-encoded canonical frame with this caller's serving flags spliced
 // over its constant-size tail, behind an exact Content-Length. The frame
-// bytes are shared with the cache and never mutated.
+// bytes are shared with the memory tier and never mutated.
 func (s *Server) writePayload(w http.ResponseWriter, sv served) {
 	buf := getBuf()
 	defer putBuf(buf)
 	appendServed(buf, sv)
 	buf.WriteByte('\n')
-	s.planner.metrics.addPayloadBytes(buf.Len(), sv.cached || sv.coalesced)
+	s.planner.metrics.addPayloadBytes(buf.Len(), sv.spliced())
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
@@ -167,21 +167,6 @@ func traceOutcome(err error) string {
 	default:
 		return trace.OutcomeError
 	}
-}
-
-// sourceOf labels how a single-request serve was answered, matching the
-// batch endpoint's source vocabulary.
-func sourceOf(sv served) string {
-	if pr, ok := sv.cf.val.(*PlanResponse); ok && pr.Degraded {
-		return sourceDegraded
-	}
-	switch {
-	case sv.coalesced:
-		return sourceCoalesced
-	case sv.cached:
-		return sourceCached
-	}
-	return sourceComputed
 }
 
 // traceServed stamps a successful serve's outcome and source on the trace
@@ -275,7 +260,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.traceError(w, tc, err)
 		return
 	}
-	s.traceServed(w, tc, sourceOf(sv))
+	s.traceServed(w, tc, sv.source)
 	s.writePayload(w, sv)
 }
 
@@ -377,18 +362,12 @@ func (s *Server) writeBatch(w http.ResponseWriter, resp *BatchPlanResponse) {
 		_, _ = bw.WriteString(`{"status":"ok","source":"`)
 		_, _ = bw.WriteString(it.Source)
 		_, _ = bw.WriteString(`","plan":`)
-		frame := it.frame
-		if frame == nil {
-			// Hand-assembled responses (tests, future callers) without a
-			// frame fall back to a cold encode.
-			frame, _ = json.Marshal(it.Plan)
-		}
-		_, _ = bw.Write(frame)
+		_, _ = bw.Write(it.frame)
 		_ = bw.WriteByte('}')
 		// Per item, so frames_spliced reconciles with the batch item
 		// counters: spliced = cached + coalesced items, cold = computed +
 		// degraded.
-		m.addPayloadBytes(len(frame), it.Source == sourceCached || it.Source == sourceCoalesced)
+		m.addPayloadBytes(len(it.frame), it.Source == sourceCached || it.Source == sourceCoalesced)
 	}
 	_, _ = bw.WriteString("]}\n")
 	_ = bw.Flush()
@@ -421,7 +400,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			s.traceError(w, tc, err)
 			return
 		}
-		s.traceServed(w, tc, sourceOf(sv))
+		s.traceServed(w, tc, sv.source)
 		s.writePayload(w, sv)
 		return
 	}
@@ -479,14 +458,14 @@ func (s *Server) streamEstimate(w http.ResponseWriter, r *http.Request, req *Est
 		return
 	}
 	tc.SetOutcome(trace.OutcomeOK)
-	tc.SetSource(sourceOf(sv))
+	tc.SetSource(sv.source)
 	// The result line splices the pre-encoded frame into the event
 	// envelope — a cache-hit stream serves its payload with zero Marshal.
 	buf := getBuf()
 	buf.WriteString(`{"result":`)
 	n := buf.Len()
 	appendServed(buf, sv)
-	s.planner.metrics.addPayloadBytes(buf.Len()-n, sv.cached || sv.coalesced)
+	s.planner.metrics.addPayloadBytes(buf.Len()-n, sv.spliced())
 	buf.WriteString("}\n")
 	flushLine(buf)
 }

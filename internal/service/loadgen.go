@@ -170,7 +170,7 @@ type LoadReport struct {
 	// Fleet mode: one post-run snapshot per replica (nil slot for an
 	// unreachable replica — a killed one stays in the ledger), and the
 	// fleet-wide effectiveness numbers. FleetHitRate counts every request
-	// answered without a fresh computation anywhere — LRU hits, coalesced
+	// answered without a fresh computation anywhere — memory hits, coalesced
 	// flights, and store tiers — over all lookups; FleetStoreHits is the
 	// disk+peer share of that; FleetPlansComputed is the total number of
 	// plans any replica actually computed, the denominator of the "how much

@@ -22,8 +22,13 @@ type Metrics struct {
 	errors    atomic.Uint64 // requests that failed server-side
 	canceled  atomic.Uint64 // callers that gave up waiting (client's doing, not ours)
 	rejected  atomic.Uint64 // admission-control rejections (429s)
-	coalesced atomic.Uint64 // requests served by another caller's flight or its just-cached result
+	coalesced atomic.Uint64 // requests served by another caller's flight or its just-kept result
 	inflight  atomic.Int64  // admitted requests currently in the planner
+
+	// cacheHits and cacheMisses meter memory-tier lookups: one per single
+	// request, one per batch item (counted after batch admission).
+	cacheHits   atomic.Uint64
+	cacheMisses atomic.Uint64
 
 	degraded          atomic.Uint64 // brownout fallback serves (groups/requests, not batch items)
 	deadlineAbandoned atomic.Uint64 // computations stopped because every caller gave up
@@ -38,11 +43,11 @@ type Metrics struct {
 	storePeerHits  atomic.Uint64 // served by a peer replica
 	storeMisses    atomic.Uint64 // store lookups no tier could answer
 	storePutErrors atomic.Uint64 // persists that failed (full/failing store)
-	plansComputed  atomic.Uint64 // plans actually computed (not served from LRU/store)
+	plansComputed  atomic.Uint64 // plans actually computed (not served from memory/store)
 
 	// Zero-copy serving ledger: every payload frame written to a response
-	// is attributed to exactly one side — spliced from a pre-encoded cache
-	// frame (LRU, flight, or store hit: no Marshal ran for this serve) or
+	// is attributed to exactly one side — spliced from a pre-encoded frame
+	// (memory, flight, or store hit: no Marshal ran for this serve) or
 	// produced by a cold encode (this request's own computation, or a
 	// degraded fallback). framesSpliced / (framesSpliced + coldEncodes)
 	// therefore reconciles with the cache hit rate: a frame can only be
@@ -84,7 +89,7 @@ type Metrics struct {
 	// batchItems = cached + computed + coalesced + degraded + errors.
 	batches             uint64 // completed /v1/plan/batch requests
 	batchItems          uint64 // items across completed batches
-	batchItemsCached    uint64 // items served from the response LRU
+	batchItemsCached    uint64 // items served from the memory tier or the store
 	batchItemsComputed  uint64 // items whose batch led the computation
 	batchItemsCoalesced uint64 // items served off shared work (flights, intra-batch duplicates)
 	batchItemsDegraded  uint64 // items served the brownout fallback
@@ -290,7 +295,7 @@ func distSnapshot(h *stats.Histogram) DistSnapshot {
 //
 // Batch accounting: batches counts completed /v1/plan/batch requests and
 // batch_items their items; every item lands in exactly one of
-// batch_items_cached (response-LRU hit), batch_items_computed (this batch
+// batch_items_cached (memory or store hit), batch_items_computed (this batch
 // led the computation), batch_items_coalesced (served off shared work — an
 // in-flight request's flight or an intra-batch duplicate),
 // batch_items_degraded (brownout fallback), or batch_item_errors — the
@@ -357,7 +362,7 @@ type MetricsSnapshot struct {
 	// Store-tier counters (all zero when no store is configured). The
 	// service-side view reconciles per document: every store lookup is
 	// one of store_mem_hits/store_disk_hits/store_peer_hits/store_misses,
-	// and plans_computed counts only plans no tier (LRU or store) could
+	// and plans_computed counts only plans no tier (memory or store) could
 	// serve. The store_* ledger fields below come from the store's own
 	// Stats — corrupt records quarantined, hinted handoff flow, and the
 	// startup anti-entropy pull.
@@ -409,8 +414,9 @@ type PayloadBytesSnapshot struct {
 // Snapshot assembles a consistent-enough view: counters are read
 // individually (each is internally consistent; cross-counter skew of a
 // few in-flight requests is fine for monitoring), histograms are cloned
-// under their lock and read outside it.
-func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
+// under their lock and read outside it. CacheEntries is the planner's to
+// fill: it reads the memory tier.
+func (m *Metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	planLat := m.planLat.Clone()
 	estLat := m.estLat.Clone()
@@ -439,10 +445,10 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 	// every observed coalesce has its miss observed too (coalesced ≤
 	// misses) and the rate below never exceeds 1.
 	coalesced := m.coalesced.Load()
-	hits, misses := cache.hits.Load(), cache.misses.Load()
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	rate := 0.0
 	if hits+misses > 0 {
-		// Every coalesced follower first missed the LRU (so coalesced ≤
+		// Every coalesced follower first missed memory (so coalesced ≤
 		// misses) but was then served off another caller's flight without
 		// recomputation; counting it as a plain miss would understate the
 		// hit rate under exactly the duplicate-heavy load the cache and
@@ -465,7 +471,6 @@ func (m *Metrics) snapshot(cache *planCache) MetricsSnapshot {
 		CacheHits:     hits,
 		CacheMisses:   misses,
 		CacheHitRate:  rate,
-		CacheEntries:  cache.Len(),
 		BatchItems:    batchItems,
 		BatchCached:   batchCached,
 		BatchComputed: batchComputed,

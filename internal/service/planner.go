@@ -95,11 +95,10 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker slot; request
 	// QueueDepth+1 is rejected with ErrOverloaded (default 4×Workers).
 	QueueDepth int
-	// CacheCap bounds total cached responses across shards (default 4096).
-	CacheCap int
-	// CacheShards is the shard count, rounded up to a power of two
-	// (default 16).
-	CacheShards int
+	// MemBytes is the byte budget of the memory tier (default 64 MiB): a
+	// sharded LRU of canonical response frames, always on, that every
+	// endpoint resolves through before the flight table and Store.
+	MemBytes int64
 	// MaxTrials is the per-request Monte Carlo trial budget; estimate
 	// requests above it are rejected as bad requests (default 10000).
 	MaxTrials int
@@ -138,12 +137,12 @@ type Config struct {
 	// computation; a panic exercises the panic-isolation path. It exists
 	// for fault injection (internal/faults) and tests.
 	ComputeHook func() error
-	// Store, if non-nil, is the durable/replicated tier under the
-	// response LRU: compute closures read through it before taking a
-	// worker slot and persist what they compute; Warmup waits for its
-	// recovery (disk index rebuild, anti-entropy) before /readyz flips.
-	// The planner does not own its lifecycle — whoever built the store
-	// closes it, after Planner.Close.
+	// Store, if non-nil, is what lies below the memory tier — the disk
+	// log, a replicated store over it, or a test's store: a flight leader
+	// reads through it before taking a worker slot and persists what it
+	// computes; Warmup waits for its recovery (disk index rebuild,
+	// anti-entropy) before /readyz flips. The planner does not own its
+	// lifecycle — whoever built the store closes it, after Planner.Close.
 	Store store.PlanStore
 	// DecodeCacheBytes bounds the raw-key bytes of the decoded-instance
 	// cache the HTTP layer resolves request instances through (default
@@ -175,11 +174,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.CacheCap <= 0 {
-		c.CacheCap = 4096
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
+	if c.MemBytes <= 0 {
+		c.MemBytes = 64 << 20
 	}
 	if c.MaxTrials <= 0 {
 		c.MaxTrials = 10000
@@ -219,15 +215,15 @@ func (c Config) withDefaults() Config {
 
 // Planner is the concurrent scheduling service core: it admits requests
 // up to a queue bound, coalesces duplicates in flight, serves repeats
-// from a sharded LRU cache, and computes misses on a bounded worker pool
-// of pooled LP workspaces. Cross-request reuse lives entirely in the
-// response LRU and the flight group, both keyed by content fingerprint;
-// the policies' LP caches are request-scoped (see policies below), so a
-// finished computation retains nothing.
+// from its memory tier, and computes misses on a bounded worker pool of
+// pooled LP workspaces. Cross-request reuse lives entirely in the memory
+// tier, the flight group and Config.Store, all keyed by content
+// fingerprint; the policies' LP caches are request-scoped (see policies
+// below), so a finished computation retains nothing.
 type Planner struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *planCache
+	mem     *store.Mem // canonical frames by storeKeyOf; the only in-memory response tier
 	decode  *decodeCache
 	tracer  *trace.Tracer
 	flight  flightGroup
@@ -266,13 +262,13 @@ type Planner struct {
 
 // NewPlanner builds a planner. Policy instances are built per estimate
 // computation (see Planner.policies); cross-request reuse of finished
-// work is the fingerprint-keyed response cache's job.
+// work is the fingerprint-keyed memory tier's job.
 func NewPlanner(cfg Config) *Planner {
 	cfg = cfg.withDefaults()
 	return &Planner{
 		cfg:     cfg,
 		metrics: newMetrics(),
-		cache:   newPlanCache(cfg.CacheCap, cfg.CacheShards),
+		mem:     store.NewMem(cfg.MemBytes, 0),
 		decode:  newDecodeCache(cfg.DecodeCacheBytes),
 		tracer: trace.NewTracer(trace.Config{
 			Sample: cfg.TraceSample,
@@ -331,7 +327,8 @@ func (p *Planner) obsStage(tc *trace.Ctx, s trace.Stage, start time.Time) {
 
 // Metrics returns the current metrics snapshot.
 func (p *Planner) Metrics() MetricsSnapshot {
-	s := p.metrics.snapshot(p.cache)
+	s := p.metrics.snapshot()
+	s.CacheEntries = p.mem.Stats().Entries
 	s.RetryAfterS = p.retryAfter().Seconds()
 	if p.cfg.Store != nil {
 		st := p.cfg.Store.Stats()
@@ -455,34 +452,6 @@ func (p *Planner) untrack() {
 	p.lmu.Unlock()
 }
 
-// acquireFlight takes a worker slot for c's computation, failing fast with
-// ErrOverloaded when the waiting line is already QueueDepth deep — the 429
-// path that keeps the backlog (and therefore p99) bounded under overload.
-// A computation admitted into the line waits for a slot until either one
-// frees or every caller abandons the flight (c.abandoned closes): a plan
-// nobody is waiting for must not keep burning queue and pool capacity.
-// Work with live followers keeps waiting — one impatient caller never
-// cancels a shared result.
-func (p *Planner) acquireFlight(c *flightCall) error {
-	if q := p.queued.Add(1); int(q) > p.cfg.QueueDepth {
-		p.queued.Add(-1)
-		return p.overloaded()
-	}
-	var abandoned <-chan struct{}
-	if c != nil {
-		abandoned = c.abandoned
-	}
-	select {
-	case p.slots <- struct{}{}:
-		p.queued.Add(-1)
-		return nil
-	case <-abandoned:
-		p.queued.Add(-1)
-		p.metrics.deadlineAbandoned.Add(1)
-		return errAbandoned
-	}
-}
-
 func (p *Planner) release() { <-p.slots }
 
 // pressure is the admission line's fill fraction. It counts only work
@@ -603,93 +572,6 @@ func (p *Planner) spawn(key requestKey, c *flightCall, tc *trace.Ctx, fn func() 
 	}()
 }
 
-// runShared executes fn at most once per key across concurrent callers.
-// The computation runs on a detached goroutine (spawn) that survives
-// caller cancellation: coalesced followers and the cache still want the
-// result when the leader's client disconnects, so a leader hang-up must
-// not poison the flight with its context error. The caller waits under
-// its own ctx; a caller that gives up leaves the flight, and only when the
-// LAST caller leaves is the computation abandoned — it then stops at its
-// next checkpoint (slot wait, solve boundary, Monte Carlo chunk) instead
-// of running to completion, so deadline-expired work stops burning pool
-// slots. Work any live follower still wants runs to completion and lands
-// in the cache.
-//
-// A new leader re-checks the response cache (an uncounted peek — the
-// caller already recorded its miss) before spawning fn: a racing flight
-// for the same key may have landed between this caller's cache miss and
-// its join, and recomputing its cached result would waste a worker slot.
-// A peek hit finishes the flight inline and returns fromCache=true so
-// callers label and meter the response as cache-served, not computed.
-//
-// onProgress, if non-nil and this caller leads, observes the progress fn
-// emits. Progress flows through a channel drained by this (caller)
-// goroutine, so onProgress never runs on the detached computation
-// goroutine — it may touch the caller's ResponseWriter, which dies with
-// the caller.
-func (p *Planner) runShared(ctx context.Context, key requestKey, onProgress func(Progress), tc *trace.Ctx, fn func(fl *flightCall, emit func(Progress)) (any, error)) (v any, err error, follower, fromCache bool) {
-	c, follower := p.flight.join(key)
-	var progCh chan Progress
-	if follower {
-		// A coalesced follower's wait on the leader is its whole story:
-		// meter it as the flight stage.
-		defer p.obsStage(tc, trace.StageFlight, time.Now())
-	}
-	if !follower {
-		if cv, ok := p.cache.peek(key); ok {
-			p.flight.finish(key, c, cv, nil)
-			return cv, nil, false, true
-		}
-		emit := func(Progress) {}
-		if onProgress != nil {
-			ch := make(chan Progress, 8)
-			progCh = ch
-			emit = func(pr Progress) {
-				select {
-				case ch <- pr:
-				default: // progress is best-effort; never block the compute
-				}
-			}
-		}
-		p.spawn(key, c, tc, func() (any, error) { return fn(c, emit) })
-	}
-	for {
-		select {
-		case pr := <-progCh:
-			onProgress(pr)
-		case <-c.done:
-			// Deliver progress that landed in the channel before the
-			// flight finished, in order, so callers see every chunk
-			// boundary.
-			for progCh != nil {
-				select {
-				case pr := <-progCh:
-					onProgress(pr)
-				default:
-					progCh = nil
-				}
-			}
-			return c.val, c.err, follower, false
-		case <-ctx.Done():
-			p.flight.leave(key, c)
-			return nil, ctx.Err(), follower, false
-		}
-	}
-}
-
-// shareServed meters and labels a response served from shared work rather
-// than this request's own computation — a coalesced follower
-// (coalescedFlight) or a leader's late cache peek. Both count in the
-// coalesced bucket: each such caller already recorded a cache miss, so
-// the reported hit rate stays ≤ 1.
-func (p *Planner) shareServed(cf *cachedFrame, coalescedFlight bool) served {
-	p.metrics.coalesced.Add(1)
-	if coalescedFlight {
-		return served{cf: cf, coalesced: true}
-	}
-	return served{cf: cf, cached: true}
-}
-
 // PlanRun is one run of a planned schedule on the wire.
 type PlanRun struct {
 	Job   int   `json:"job"`
@@ -732,13 +614,18 @@ type PlanResponse struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// Plan computes (or serves from cache) the rounded schedule for req.
+// Plan computes (or serves from memory) the rounded schedule for req.
 func (p *Planner) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
 	sv, err := p.planServe(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sv.planResponse(), nil
+	resp := &PlanResponse{}
+	if err := sv.decode(resp); err != nil {
+		return nil, err
+	}
+	resp.Cached, resp.Coalesced = sv.flags()
+	return resp, nil
 }
 
 // planServe is Plan for the zero-copy path: it resolves the request to the
@@ -803,59 +690,14 @@ func (p *Planner) plan(ctx context.Context, req *PlanRequest, tc *trace.Ctx) (se
 	fp := sched.FingerprintInstance(ins)
 	tc.SetFingerprint(fp.Hi, fp.Lo)
 	key := requestKey{fp: fp, kind: kindPlan, target: target}
-	if v, ok := p.cache.get(key); ok {
-		return served{cf: v.(*cachedFrame), cached: true}, nil
-	}
-	// Brownout: past the pressure threshold an eligible request skips the
-	// line (and the flight table — degraded answers are never shared or
-	// cached) and gets the cheap fallback immediately.
-	if p.shouldDegrade(class) {
+	sv, err := p.resolve(ctx, key, work{ins: ins, class: class}, tc, admission{gate: (*Planner).brownoutGate}, nil)
+	// Past the brownout threshold (the gate), or when the line filled
+	// between the pressure check and admission: under a degrade policy the
+	// fallback beats a 429.
+	if errors.Is(err, ErrOverloaded) && p.degradeAllowed(class) {
 		return p.degradedServe(ins, fp, target, class, tc)
 	}
-	v, err, shared, fromCache := p.runShared(ctx, key, nil, tc, func(fl *flightCall, _ func(Progress)) (any, error) {
-		// Read through the durable store before burning a worker slot:
-		// a plan any replica ever computed is a deserialization, not a
-		// solve. Coalesced followers ride the same lookup.
-		if sv, ok := p.storeGet(key, tc); ok {
-			return storeServed{val: sv}, nil
-		}
-		qstart := time.Now()
-		if err := p.acquireFlight(fl); err != nil {
-			return nil, err
-		}
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computePlan(ins, fp, target, class, fl.abandoned, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.metrics.plansComputed.Add(1)
-		p.cache.put(key, cf)
-		p.storePut(key, cf, tc)
-		return cf, nil
-	})
-	if err != nil {
-		// The line filled between the pressure check and admission; under
-		// a degrade policy the fallback still beats a 429.
-		if errors.Is(err, ErrOverloaded) && p.degradeAllowed(class) {
-			return p.degradedServe(ins, fp, target, class, tc)
-		}
-		return served{}, err
-	}
-	if sv, ok := v.(storeServed); ok {
-		// Store-served responses count as shared work: this caller
-		// recorded an LRU miss but computed nothing.
-		v, fromCache = sv.val, true
-	}
-	cf := v.(*cachedFrame)
-	if shared || fromCache {
-		return p.shareServed(cf, shared), nil
-	}
-	return served{cf: cf}, nil
+	return sv, err
 }
 
 // degradedServe wraps the brownout fallback in a one-off frame. Degraded
@@ -865,11 +707,11 @@ func (p *Planner) degradedServe(ins *model.Instance, fp sched.Fingerprint, targe
 	dstart := time.Now()
 	resp := p.degradedPlan(ins, fp, target, class)
 	p.obsStage(tc, trace.StageDegrade, dstart)
-	cf, err := p.encodeFrame(resp, tc)
+	frame, err := p.encodeFrame(resp, tc)
 	if err != nil {
 		return served{}, err
 	}
-	return served{cf: cf}, nil
+	return newServed(frame, sourceDegraded), nil
 }
 
 // computePlan runs the rounding on a pooled workspace. The checkpoint
@@ -899,7 +741,7 @@ func (p *Planner) computePlan(ins *model.Instance, fp sched.Fingerprint, target 
 		}
 		ws.Begin()
 		// The nil cache runs the rounding directly on ws; response-level
-		// caching is the planner's sharded LRU, so a second memo layer
+		// caching is the planner's memory tier, so a second memo layer
 		// here would only hold duplicates.
 		r, err := (*rounding.Cache)(nil).RoundLP1Ws(ws, ins, jobs, target)
 		if err != nil {
@@ -1049,15 +891,20 @@ func (p *Planner) resolvePolicy(name string, class dag.Class) (string, func() si
 	return name, newPol, nil
 }
 
-// Estimate computes (or serves from cache) the Monte Carlo estimate for
+// Estimate computes (or serves from memory) the Monte Carlo estimate for
 // req. onProgress, if non-nil, observes partial means while the estimate
-// computes; cache hits and coalesced requests skip straight to the result.
+// computes; memory hits and coalesced requests skip straight to the result.
 func (p *Planner) Estimate(ctx context.Context, req *EstimateRequest, onProgress func(Progress)) (*EstimateResponse, error) {
 	sv, err := p.estimateServe(ctx, req, onProgress, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sv.estimateResponse(), nil
+	resp := &EstimateResponse{}
+	if err := sv.decode(resp); err != nil {
+		return nil, err
+	}
+	resp.Cached, resp.Coalesced = sv.flags()
+	return resp, nil
 }
 
 // estimateServe is Estimate for the zero-copy path; see planServe.
@@ -1117,42 +964,7 @@ func (p *Planner) estimate(ctx context.Context, req *EstimateRequest, onProgress
 	fp := sched.FingerprintInstance(ins)
 	tc.SetFingerprint(fp.Hi, fp.Lo)
 	key := requestKey{fp: fp, kind: kindEstimate, policy: name, trials: trials, seed: req.Seed}
-	if v, ok := p.cache.get(key); ok {
-		return served{cf: v.(*cachedFrame), cached: true}, nil
-	}
-	v, err, shared, fromCache := p.runShared(ctx, key, onProgress, tc, func(fl *flightCall, emit func(Progress)) (any, error) {
-		if sv, ok := p.storeGet(key, tc); ok {
-			return storeServed{val: sv}, nil
-		}
-		qstart := time.Now()
-		if err := p.acquireFlight(fl); err != nil {
-			return nil, err
-		}
-		p.obsStage(tc, trace.StageQueue, qstart)
-		defer p.release()
-		resp, err := p.computeEstimate(ins, fp, name, newPol(), trials, req.Seed, fl.abandoned, emit, tc)
-		if err != nil {
-			return nil, err
-		}
-		cf, err := p.encodeFrame(resp, tc)
-		if err != nil {
-			return nil, err
-		}
-		p.cache.put(key, cf)
-		p.storePut(key, cf, tc)
-		return cf, nil
-	})
-	if err != nil {
-		return served{}, err
-	}
-	if sv, ok := v.(storeServed); ok {
-		v, fromCache = sv.val, true
-	}
-	cf := v.(*cachedFrame)
-	if shared || fromCache {
-		return p.shareServed(cf, shared), nil
-	}
-	return served{cf: cf}, nil
+	return p.resolve(ctx, key, work{ins: ins, newPol: newPol}, tc, admission{}, onProgress)
 }
 
 // computeEstimate runs the Monte Carlo in ProgressChunk batches. Batch b

@@ -27,7 +27,7 @@ func testInstance(t *testing.T, family string, m, n int, seed int64) *PlanReques
 }
 
 func smallPlanner(extra func(*Config)) *Planner {
-	cfg := Config{Workers: 2, QueueDepth: 8, CacheCap: 64, CacheShards: 2,
+	cfg := Config{Workers: 2, QueueDepth: 8,
 		MaxTrials: 500, DefaultTrials: 20, TrialWorkers: 2, ProgressChunk: 8}
 	if extra != nil {
 		extra(&cfg)
@@ -404,30 +404,36 @@ func TestEstimateCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-// TestRunSharedLeaderServesRacedCache pins the leader's late cache
-// re-check: when an identical flight landed between a caller's cache miss
-// and its join, the new leader serves the cached result (flagged
-// fromCache so the endpoints label it cached) instead of recomputing —
-// and the uncounted peek leaves the hit/miss counters alone (the caller
-// already recorded its miss).
-func TestRunSharedLeaderServesRacedCache(t *testing.T) {
+// TestResolveLeaderServesRacedMemory pins the leader's late memory
+// re-check: when an identical flight landed between a caller's memory miss
+// and its join, the new leader serves the kept frame (labeled cached)
+// instead of recomputing — and the uncounted re-check leaves the hit/miss
+// counters alone (the caller already recorded its miss) while the shared
+// serve counts as coalesced.
+func TestResolveLeaderServesRacedMemory(t *testing.T) {
 	p := smallPlanner(nil)
 	key := requestKey{kind: kindPlan, target: 0.25}
-	want := &PlanResponse{Fingerprint: "raced"}
-	p.cache.put(key, want)
-	v, err, shared, fromCache := p.runShared(context.Background(), key, nil, nil, func(*flightCall, func(Progress)) (any, error) {
-		t.Error("computation ran despite a cached result for its key")
-		return nil, errors.New("unreachable")
-	})
-	if err != nil || shared || !fromCache || v.(*PlanResponse) != want {
-		t.Fatalf("v=%v err=%v shared=%v fromCache=%v", v, err, shared, fromCache)
+	want := []byte(`{"fingerprint":"raced","cached":false}`)
+	// The gate runs after the memory miss and before the flight join: the
+	// raced flight lands exactly there.
+	gate := func(p *Planner, _ work) error {
+		p.keep(key, &PlanResponse{}, want, nil)
+		return nil
 	}
-	if h, m := p.cache.hits.Load(), p.cache.misses.Load(); h != 0 || m != 0 {
-		t.Fatalf("peek touched the counters: hits=%d misses=%d", h, m)
+	p.cfg.ComputeHook = func() error {
+		t.Error("computation ran despite a kept result for its key")
+		return errors.New("unreachable")
+	}
+	sv, err := p.resolve(context.Background(), key, work{}, nil, admission{gate: gate}, nil)
+	if err != nil || sv.source != sourceCached || string(sv.frame) != string(want) {
+		t.Fatalf("sv=%+v err=%v", sv, err)
+	}
+	if m := p.Metrics(); m.CacheHits != 0 || m.CacheMisses != 1 || m.Coalesced != 1 {
+		t.Fatalf("re-check metering: hits=%d misses=%d coalesced=%d", m.CacheHits, m.CacheMisses, m.Coalesced)
 	}
 	// The inline finish removed the flight: a fresh caller leads again.
 	if _, follower := p.flight.join(key); follower {
-		t.Fatal("flight entry leaked after the peek-served finish")
+		t.Fatal("flight entry leaked after the re-check-served finish")
 	}
 }
 
@@ -531,7 +537,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("abandonment did not refund the queue charge: queued=%d", q)
 	}
 	key := requestKey{fp: sched.FingerprintInstance(reqB.Instance), kind: kindPlan, target: 0.5}
-	if _, ok := p2.cache.get(key); ok {
+	if _, ok := p2.memGet(key); ok {
 		t.Fatal("abandoned computation landed in the cache")
 	}
 	p2.flight.mu.Lock()
@@ -593,14 +599,13 @@ func TestCloseDrainsInFlight(t *testing.T) {
 
 // TestPlannerConcurrentMixed fires overlapping plans and estimates from
 // many goroutines through one planner — the -race exercise for the
-// sharded cache, the flight group, and the per-request policies, with a cache
-// small enough to force eviction mid-run.
+// memory tier, the flight group, and the per-request policies, with a
+// memory budget small enough to force eviction mid-run.
 func TestPlannerConcurrentMixed(t *testing.T) {
 	p := smallPlanner(func(c *Config) {
 		c.Workers = 4
 		c.QueueDepth = 256
-		c.CacheCap = 8
-		c.CacheShards = 2
+		c.MemBytes = 4 << 10
 	})
 	instances := make([]*PlanRequest, 6)
 	for i := range instances {

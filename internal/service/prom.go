@@ -102,10 +102,10 @@ func promMetrics(sn MetricsSnapshot) []byte {
 	pw.counter("suu_degraded_total", "Brownout fallback plans served.", sn.Degraded)
 	pw.counter("suu_deadline_abandoned_total", "Computations abandoned at their deadline.", sn.Abandoned)
 	pw.counter("suu_retries_observed_total", "Requests confessing to being retries.", sn.RetriesSeen)
-	pw.counter("suu_cache_hits_total", "Response LRU hits.", sn.CacheHits)
-	pw.counter("suu_cache_misses_total", "Response LRU misses.", sn.CacheMisses)
+	pw.counter("suu_cache_hits_total", "Memory-tier hits.", sn.CacheHits)
+	pw.counter("suu_cache_misses_total", "Memory-tier misses.", sn.CacheMisses)
 	pw.gauge("suu_cache_hit_rate", "Cache plus coalesced hit fraction.", sn.CacheHitRate)
-	pw.gauge("suu_cache_entries", "Response LRU resident entries.", float64(sn.CacheEntries))
+	pw.gauge("suu_cache_entries", "Memory-tier resident entries.", float64(sn.CacheEntries))
 	pw.counter("suu_batch_items_total", "Batch items across all batches.", sn.BatchItems)
 	pw.counter("suu_batch_items_cached_total", "Batch items served from cache.", sn.BatchCached)
 	pw.counter("suu_batch_items_computed_total", "Batch items computed fresh.", sn.BatchComputed)

@@ -62,8 +62,8 @@ func TestBrownoutDegradesUnderPressure(t *testing.T) {
 		t.Errorf("degraded plan is not a schedule: length=%d machines=%d", resp.Length, len(resp.Machines))
 	}
 	key := requestKey{fp: sched.FingerprintInstance(req.Instance), kind: kindPlan, target: 0.5}
-	if _, ok := p.cache.peek(key); ok {
-		t.Error("degraded plan must never enter the response cache")
+	if _, ok := p.memGet(key); ok {
+		t.Error("degraded plan must never enter the memory tier")
 	}
 	if got := p.Metrics().Degraded; got != 1 {
 		t.Errorf("degraded counter = %d, want 1", got)
@@ -191,7 +191,7 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Errorf("queued = %d after abandonment, want 0 (charge refunded)", q)
 	}
 	key := requestKey{fp: sched.FingerprintInstance(req.Instance), kind: kindPlan, target: 0.5}
-	if _, ok := p.cache.peek(key); ok {
+	if _, ok := p.memGet(key); ok {
 		t.Error("abandoned computation must not land in the cache")
 	}
 	<-p.slots
@@ -326,7 +326,7 @@ func TestBatchBrownoutDegraded(t *testing.T) {
 func TestShutdownUnderFire(t *testing.T) {
 	var hookCalls atomic.Uint64
 	p := NewPlanner(Config{
-		Workers: 2, QueueDepth: 64, CacheCap: 64, CacheShards: 2,
+		Workers: 2, QueueDepth: 64,
 		ComputeHook: func() error {
 			switch n := hookCalls.Add(1); {
 			case n%5 == 0:

@@ -25,7 +25,7 @@ func propScenarios(t *testing.T) int {
 // queue for any generated batch, a cache big enough to never evict
 // mid-comparison.
 func propPlanner() *Planner {
-	return NewPlanner(Config{Workers: 4, QueueDepth: 1024, CacheCap: 1 << 14})
+	return NewPlanner(Config{Workers: 4, QueueDepth: 1024})
 }
 
 // batchFor composes a batch of 1..5 items for one scenario: fresh

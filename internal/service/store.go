@@ -11,24 +11,19 @@ import (
 	"repro/internal/trace"
 )
 
-// The durable store sits under the response LRU as a read-through /
-// write-behind tier: a compute closure checks it after the LRU misses and
+// Config.Store sits under the memory tier as a read-through /
+// write-behind tier: a flight leader checks it after memory misses and
 // before burning a worker slot, and persists what it computes. The store
-// holds the same canonical values the LRU does, serialized; its Key is a
-// content address derived from the full requestKey, so every node in a
-// fleet derives identical keys for identical requests.
-
-// storeServed wraps a flight value that was answered from the store
-// rather than computed, so callers downstream of runShared can label it
-// served-from-shared-work (it cost no compute) without new plumbing.
-type storeServed struct{ val any }
+// holds the canonical frames the memory tier holds, wrapped in a small
+// envelope; its Key is a content address derived from the full
+// requestKey, so every node in a fleet derives identical keys for
+// identical requests. The memory tier uses the same Key.
 
 // storeKeyOf derives the 128-bit content address for a request: two
 // differently-salted SplitMix64 lanes over the fingerprint and every
-// result-determining parameter. Unlike requestKey.hash (a shard selector
-// where collisions are harmless), both lanes absorb the full policy
-// string and the full seed — a collision here would serve a wrong
-// payload, so the address must separate everything the result depends on.
+// result-determining parameter. Both lanes absorb the full policy string
+// and the full seed — a collision here would serve a wrong payload, so
+// the address must separate everything the result depends on.
 func storeKeyOf(k requestKey) store.Key {
 	pf := uint64(0xcbf29ce484222325) // FNV-1a over the policy name
 	for i := 0; i < len(k.policy); i++ {
@@ -50,10 +45,18 @@ func storeKeyOf(k requestKey) store.Key {
 	return store.Key{Hi: hi, Lo: lo}
 }
 
+// fpMixLocal is the SplitMix64 finalizer (the service package's copy; the
+// canonical one lives next to sched.Fingerprint).
+func fpMixLocal(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // storedEnvelope frames a persisted response: a version, the request
-// kind, and the canonical payload frame — the same bytes the response LRU
+// kind, and the canonical payload frame — the same bytes the memory tier
 // splices into responses, persisted verbatim so a disk or peer hit skips
-// re-encoding exactly like an LRU hit. The kind check on decode means a
+// re-encoding exactly like a memory hit. The kind check on decode means a
 // (vanishingly unlikely) key collision between a plan and an estimate
 // degrades to a store miss, never a mistyped response.
 type storedEnvelope struct {
@@ -70,11 +73,12 @@ func encodeStored(kind uint8, frame json.RawMessage) ([]byte, error) {
 	return json.Marshal(&storedEnvelope{V: storedEnvelopeV, Kind: kind, Body: frame})
 }
 
-// decodeStored validates the envelope and rebuilds the cachedFrame: the
-// struct is decoded once (library callers need it), and the Body bytes —
-// byte-identical to what encodeStored persisted — become the serving
-// frame, so a store hit re-enters the zero-copy path with no encode.
-func decodeStored(kind uint8, b []byte) (*cachedFrame, error) {
+// decodeStored validates an envelope read from outside the process (disk
+// or a peer) and returns its payload frame: the envelope must carry this
+// version and kind, the frame must decode as that kind's response, and it
+// must end in the canonical tail every kept frame has. Only then may the
+// bytes enter the memory tier, whose hits are served without a decode.
+func decodeStored(kind uint8, b []byte) ([]byte, error) {
 	var env storedEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, err
@@ -82,50 +86,55 @@ func decodeStored(kind uint8, b []byte) (*cachedFrame, error) {
 	if env.V != storedEnvelopeV || env.Kind != kind {
 		return nil, fmt.Errorf("stored envelope v%d kind %d does not match request kind %d", env.V, env.Kind, kind)
 	}
+	var resp any
 	switch kind {
 	case kindPlan:
-		resp := &PlanResponse{}
-		if err := json.Unmarshal(env.Body, resp); err != nil {
-			return nil, err
-		}
-		return newCachedFrame(resp, env.Body), nil
+		resp = &PlanResponse{}
 	case kindEstimate:
-		resp := &EstimateResponse{}
-		if err := json.Unmarshal(env.Body, resp); err != nil {
-			return nil, err
-		}
-		return newCachedFrame(resp, env.Body), nil
+		resp = &EstimateResponse{}
+	default:
+		return nil, fmt.Errorf("unknown stored kind %d", kind)
 	}
-	return nil, fmt.Errorf("unknown stored kind %d", kind)
+	if err := json.Unmarshal(env.Body, resp); err != nil {
+		return nil, err
+	}
+	if spliceAt(env.Body) < 0 {
+		return nil, fmt.Errorf("stored %d-byte frame lacks the canonical tail", len(env.Body))
+	}
+	return env.Body, nil
 }
 
-// storeGet reads through the store for key. On a hit the canonical value
-// also lands in the response LRU, so the next request for the key never
-// reaches the store at all. Runs under context.Background(): the store's
-// own timeouts bound a peer fetch, and a result is worth caching even if
-// this caller's deadline is about to expire (same reasoning as detached
+// storeGet reads through Config.Store for key. On a hit the frame also
+// lands in the memory tier, so the next request for the key never reaches
+// the store at all. Runs under context.Background(): the store's own
+// timeouts bound a peer fetch, and a result is worth keeping even if this
+// caller's deadline is about to expire (same reasoning as detached
 // computations). The request's trace rides along two ways: the tier that
 // answered becomes a stage span (store.mem / store.disk / store.peer, or
 // store.miss when every tier came up empty), and the trace context — and
 // through it the bare trace ID — flows into the store stack so a peer
 // fetch carries X-Suu-Trace-Id across the fleet.
-func (p *Planner) storeGet(key requestKey, tc *trace.Ctx) (*cachedFrame, bool) {
+func (p *Planner) storeGet(key requestKey, tc *trace.Ctx) ([]byte, bool) {
 	st := p.cfg.Store
 	if st == nil {
 		return nil, false
 	}
 	start := time.Now()
-	b, tier, err := st.Get(trace.NewContext(context.Background(), tc), storeKeyOf(key))
+	sk := storeKeyOf(key)
+	b, tier, err := st.Get(trace.NewContext(context.Background(), tc), sk)
 	if err != nil {
 		p.metrics.storeMisses.Add(1)
 		p.obsStage(tc, trace.StageStoreMiss, start)
 		return nil, false
 	}
 	elapsed := time.Since(start)
-	v, err := decodeStored(key.kind, b)
+	frame, err := decodeStored(key.kind, b)
 	if err != nil {
 		// Undecodable content is a quarantine case the checksum cannot
-		// catch (e.g. a schema change): miss, recompute, overwrite.
+		// catch (e.g. a schema change): a miss, so the leader recomputes.
+		// Puts skip keys a store already holds, so the bad record stays
+		// where it is; the recomputed frame is kept in memory, which
+		// answers every later request for the key until it is evicted.
 		p.metrics.storeMisses.Add(1)
 		p.obsStage(tc, trace.StageStoreMiss, start)
 		return nil, false
@@ -142,34 +151,35 @@ func (p *Planner) storeGet(key requestKey, tc *trace.Ctx) (*cachedFrame, bool) {
 		tc.Add(stage, elapsed)
 		p.metrics.observeStage(stage, elapsed)
 	}
-	p.cache.put(key, v)
-	return v, true
+	_ = p.mem.Put(context.Background(), sk, frame) // Mem.Put cannot fail
+	return frame, true
 }
 
-// storePut persists a freshly computed response — its pre-encoded frame,
-// so the payload is marshaled exactly once per computation across LRU,
-// disk, and peers. Degraded brownout fallbacks never persist — they are
-// placeholders a retry should replace, and writing one would let a moment
-// of overload haunt every replica from disk (the durable mirror of
-// "degraded plans are never cached"). Errors are counted, not surfaced: a
-// full or failing store degrades the fleet to compute-only, it does not
-// fail requests.
-func (p *Planner) storePut(key requestKey, cf *cachedFrame, tc *trace.Ctx) {
+// keep puts a freshly computed response's frame — encoded exactly once
+// across memory, disk, and peers — into the memory tier and Config.Store.
+// Degraded brownout fallbacks are never kept — they are placeholders a
+// retry should replace, and keeping one would let a moment of overload
+// haunt every later request, and every replica from disk. Store errors
+// are counted, not surfaced: a full or failing store degrades the fleet
+// to compute-only, it does not fail requests.
+func (p *Planner) keep(key requestKey, resp any, frame []byte, tc *trace.Ctx) {
+	if pr, ok := resp.(*PlanResponse); ok && pr.Degraded {
+		return
+	}
+	sk := storeKeyOf(key)
+	_ = p.mem.Put(context.Background(), sk, frame) // Mem.Put cannot fail
 	st := p.cfg.Store
 	if st == nil {
 		return
 	}
-	if pr, ok := cf.val.(*PlanResponse); ok && pr.Degraded {
-		return
-	}
-	b, err := encodeStored(key.kind, cf.frame)
+	b, err := encodeStored(key.kind, frame)
 	if err != nil {
 		p.metrics.storePutErrors.Add(1)
 		return
 	}
 	// Only the bare trace ID crosses into the put: the fan-out to peers
 	// is asynchronous and must never hold the pooled trace context.
-	if err := st.Put(trace.WithID(context.Background(), tc.ID()), storeKeyOf(key), b); err != nil {
+	if err := st.Put(trace.WithID(context.Background(), tc.ID()), sk, b); err != nil {
 		p.metrics.storePutErrors.Add(1)
 		trace.Warn("store put failed", "trace", tc.IDString(), "err", err)
 	}

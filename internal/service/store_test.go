@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/store"
 )
 
@@ -192,8 +194,8 @@ func TestStoreSharedAcrossPlanners(t *testing.T) {
 }
 
 // TestDegradedPlansNeverPersisted pins the satellite fix: a brownout
-// fallback must not reach any store tier, or a moment of overload would
-// haunt every replica from disk.
+// fallback must not reach the memory tier or any store tier, or a moment
+// of overload would haunt every replica from disk.
 func TestDegradedPlansNeverPersisted(t *testing.T) {
 	st := store.NewMem(1<<20, 1)
 	defer st.Close()
@@ -201,57 +203,82 @@ func TestDegradedPlansNeverPersisted(t *testing.T) {
 	defer p.Close()
 
 	key := requestKey{kind: kindPlan, policy: "lp1", target: 0.5}
-	p.storePut(key, testFrame(t, &PlanResponse{Degraded: true, Length: 7}), nil)
+	keep := func(resp *PlanResponse) { p.keep(key, resp, testFrame(t, resp), nil) }
+	keep(&PlanResponse{Degraded: true, Length: 7})
 	if got := st.Stats(); got.Puts != 0 || got.Entries != 0 {
 		t.Fatalf("degraded plan persisted: %+v", got)
+	}
+	if _, ok := p.memGet(key); ok {
+		t.Fatal("degraded plan entered the memory tier")
 	}
 
 	// The same call with a certified plan does persist — the guard is
 	// specific, not a dead store.
-	p.storePut(key, testFrame(t, &PlanResponse{Length: 7}), nil)
+	keep(&PlanResponse{Length: 7})
 	if got := st.Stats(); got.Puts != 1 || got.Entries != 1 {
 		t.Fatalf("certified plan not persisted: %+v", got)
 	}
 	// And a degraded response never overwrites a certified one.
-	p.storePut(key, testFrame(t, &PlanResponse{Degraded: true}), nil)
-	if v, ok := p.storeGet(key, nil); !ok {
+	keep(&PlanResponse{Degraded: true})
+	frame, ok := p.storeGet(key, nil)
+	if !ok {
 		t.Fatal("stored plan unreadable")
-	} else if v.val.(*PlanResponse).Degraded {
-		t.Fatal("degraded response overwrote the stored plan")
+	}
+	var got PlanResponse
+	if err := json.Unmarshal(frame, &got); err != nil || got.Degraded || got.Length != 7 {
+		t.Fatalf("degraded response overwrote the stored plan: %+v (%v)", got, err)
 	}
 }
 
 // TestStoreKeyDerivation pins that every result-determining request
 // parameter separates the content address — a collision here would serve
-// a wrong payload to a different request.
+// a wrong payload to a different request — and that the client's
+// deadline, which determines nothing, does not: requests differing only
+// in patience share one memory entry.
 func TestStoreKeyDerivation(t *testing.T) {
-	base := requestKey{kind: kindPlan, policy: "lp1", target: 0.5, trials: 100, seed: 42}
-	variants := []requestKey{
-		{kind: kindEstimate, policy: "lp1", target: 0.5, trials: 100, seed: 42},
-		{kind: kindPlan, policy: "lp2", target: 0.5, trials: 100, seed: 42},
-		{kind: kindPlan, policy: "lp1", target: 0.75, trials: 100, seed: 42},
-		{kind: kindPlan, policy: "lp1", target: 0.5, trials: 101, seed: 42},
-		{kind: kindPlan, policy: "lp1", target: 0.5, trials: 100, seed: 43},
+	base := requestKey{fp: fpOf(1), kind: kindPlan, policy: "lp1", target: 0.5, trials: 100, seed: 42}
+	variants := map[string]func(k *requestKey){
+		"fingerprint hi": func(k *requestKey) { k.fp.Hi++ },
+		"fingerprint lo": func(k *requestKey) { k.fp.Lo++ },
+		"kind":           func(k *requestKey) { k.kind = kindEstimate },
+		"policy":         func(k *requestKey) { k.policy = "lp2" },
+		"target":         func(k *requestKey) { k.target = 0.75 },
+		"trials":         func(k *requestKey) { k.trials = 101 },
+		"seed":           func(k *requestKey) { k.seed = 43 },
 	}
-	seen := map[store.Key]int{storeKeyOf(base): -1}
-	for i, v := range variants {
-		k := storeKeyOf(v)
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("variant %d collides with %d: %v", i, prev, k)
+	seen := map[store.Key]string{storeKeyOf(base): "base"}
+	for name, mutate := range variants {
+		k := base
+		mutate(&k)
+		sk := storeKeyOf(k)
+		if prev, dup := seen[sk]; dup {
+			t.Fatalf("%s variant collides with %s: %v", name, prev, sk)
 		}
-		seen[k] = i
+		seen[sk] = name
 	}
 	// Deterministic: the address is a pure function of the request.
 	if storeKeyOf(base) != storeKeyOf(base) {
 		t.Fatal("key derivation not deterministic")
 	}
-	// And fingerprint changes move both lanes.
-	fp1 := base
-	fp1.fp.Hi = 123
-	fp2 := base
-	fp2.fp.Hi = 124
-	if storeKeyOf(fp1) == storeKeyOf(fp2) {
-		t.Fatal("fingerprint ignored by key derivation")
+
+	p := smallPlanner(nil)
+	defer p.Close()
+	ctx := context.Background()
+	plan := testInstance(t, "uniform", 3, 6, 5)
+	est := &EstimateRequest{Instance: plan.Instance, Policy: "sem", Trials: 8, Seed: 1}
+	for _, ms := range []int64{0, 60000} {
+		plan.DeadlineMS, est.DeadlineMS = ms, ms
+		pr, err := p.Plan(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		er, err := p.Estimate(ctx, est, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms > 0 && (!pr.Cached || !er.Cached) {
+			t.Fatalf("deadline_ms %d changed the key: plan cached %v, estimate cached %v", ms, pr.Cached, er.Cached)
+		}
 	}
 }
 
@@ -259,21 +286,64 @@ func TestStoreKeyDerivation(t *testing.T) {
 // one kind never decode as another, so even a key collision degrades to a
 // recompute instead of a mistyped response.
 func TestStoreDecodeMismatchIsMiss(t *testing.T) {
-	b, err := encodeStored(kindPlan, testFrame(t, &PlanResponse{Length: 3}).frame)
+	b, err := encodeStored(kindPlan, testFrame(t, &PlanResponse{Length: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := decodeStored(kindEstimate, b); err == nil {
 		t.Fatal("plan bytes decoded as an estimate")
 	}
-	v, err := decodeStored(kindPlan, b)
+	frame, err := decodeStored(kindPlan, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.val.(*PlanResponse).Length != 3 {
+	var got PlanResponse
+	if err := json.Unmarshal(frame, &got); err != nil || got.Length != 3 {
 		t.Fatal("roundtrip lost the payload")
 	}
 	if _, err := decodeStored(kindPlan, []byte("not json")); err == nil {
 		t.Fatal("garbage decoded")
+	}
+}
+
+// TestUndecodableStoredRecordIsNeverServed: a store that holds bytes no
+// envelope decode accepts under a request's key costs one computation.
+// Puts skip keys a store already holds, so the bad record stays put; the
+// computed frame lands in memory, which answers every later request — the
+// bad bytes are never served and nothing is computed twice.
+func TestUndecodableStoredRecordIsNeverServed(t *testing.T) {
+	st := store.NewMem(1<<20, 1)
+	defer st.Close()
+	p := smallPlanner(func(c *Config) { c.Store = st })
+	defer p.Close()
+	req := testInstance(t, "uniform", 4, 10, 77)
+	key := requestKey{fp: sched.FingerprintInstance(req.Instance), kind: kindPlan, target: 0.5}
+	bad := []byte(`{"v":1,"kind":1,"body":{"fingerprint":"not this plan"}}`)
+	if err := st.Put(context.Background(), storeKeyOf(key), bad); err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := p.Plan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || first.Fingerprint != sched.FingerprintInstance(req.Instance).String() {
+		t.Fatalf("first request served the undecodable record: %+v", first)
+	}
+	for i := 0; i < 10; i++ {
+		resp, err := p.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Cached || !samePlan(first, resp) {
+			t.Fatalf("request %d: cached=%v, same plan %v", i, resp.Cached, samePlan(first, resp))
+		}
+	}
+	m := p.Metrics()
+	if m.PlansComputed != 1 || m.CacheHits != 10 || m.StoreMisses != 1 {
+		t.Fatalf("computed=%d hits=%d store_misses=%d, want 1/10/1", m.PlansComputed, m.CacheHits, m.StoreMisses)
+	}
+	if v, _, err := st.Get(context.Background(), storeKeyOf(key)); err != nil || string(v) != string(bad) {
+		t.Fatalf("store record replaced (%v): the put no longer skips held keys — update this test's doc", err)
 	}
 }

@@ -13,18 +13,19 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// testFrame builds a cachedFrame the way the planner's cold-encode path
-// does: one json.Marshal of the canonical (flags-false) response.
-func testFrame(t *testing.T, v any) *cachedFrame {
+// testFrame builds a frame the way the planner's cold-encode path does:
+// one json.Marshal of the canonical (flags-false) response.
+func testFrame(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newCachedFrame(v, b)
+	return b
 }
 
 // TestFrameRoundTripAcrossShapes is the frame≡struct property: for every
@@ -54,9 +55,16 @@ func TestFrameRoundTripAcrossShapes(t *testing.T) {
 				}
 				continue
 			}
-			want := sv.cf.val.(*PlanResponse)
+			ins, target, class, err := p.validatePlan(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.computePlan(ins, sched.FingerprintInstance(ins), target, class, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var got PlanResponse
-			if err := json.Unmarshal(sv.cf.frame, &got); err != nil {
+			if err := json.Unmarshal(sv.frame, &got); err != nil {
 				t.Fatalf("%s/%d: frame does not decode: %v", shape, i, err)
 			}
 			if !reflect.DeepEqual(&got, want) {
@@ -66,10 +74,10 @@ func TestFrameRoundTripAcrossShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(canon, sv.cf.frame) {
-				t.Fatalf("%s/%d: frame is not the canonical encoding\nframe: %s\ncanon: %s", shape, i, sv.cf.frame, canon)
+			if !bytes.Equal(canon, sv.frame) {
+				t.Fatalf("%s/%d: frame is not the canonical encoding\nframe: %s\ncanon: %s", shape, i, sv.frame, canon)
 			}
-			if !want.Degraded && sv.cf.splice < 0 {
+			if !want.Degraded && sv.splice < 0 {
 				t.Fatalf("%s/%d: canonical frame not spliceable", shape, i)
 			}
 		}
@@ -90,12 +98,12 @@ func TestConcurrentHitsShareFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.cached {
+	if first.source != sourceCached {
 		t.Fatal("second serve of the same request was not a cache hit")
 	}
-	frame := first.cf.frame
+	frame := first.frame
 	sum := sha256.Sum256(frame)
-	wantTail := append(append([]byte{}, frame[:first.cf.splice]...), `"cached":true}`...)
+	wantTail := append(append([]byte{}, frame[:first.splice]...), `"cached":true}`...)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -110,7 +118,7 @@ func TestConcurrentHitsShareFrame(t *testing.T) {
 					errs <- err
 					return
 				}
-				if &sv.cf.frame[0] != &frame[0] {
+				if &sv.frame[0] != &frame[0] {
 					errs <- fmt.Errorf("hit served from a copied frame")
 					return
 				}
@@ -222,8 +230,8 @@ func TestMetricsZeroCopyLedger(t *testing.T) {
 // comes back out byte-identical, and the decoded struct matches.
 func TestStoredEnvelopeKeepsFrameBytes(t *testing.T) {
 	want := &PlanResponse{Fingerprint: "abc", Class: "independent", M: 2, N: 4, Length: 4, TStar: 2.5}
-	cf := testFrame(t, want)
-	b, err := encodeStored(kindPlan, cf.frame)
+	frame := testFrame(t, want)
+	b, err := encodeStored(kindPlan, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +239,15 @@ func TestStoredEnvelopeKeepsFrameBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.frame, cf.frame) {
-		t.Fatalf("store round-trip changed frame bytes\nin:  %s\nout: %s", cf.frame, got.frame)
+	if !bytes.Equal(got, frame) {
+		t.Fatalf("store round-trip changed frame bytes\nin:  %s\nout: %s", frame, got)
 	}
-	if !reflect.DeepEqual(got.val, want) {
-		t.Fatalf("store round-trip changed decoded struct: %+v", got.val)
+	var gotResp PlanResponse
+	if err := json.Unmarshal(got, &gotResp); err != nil || !reflect.DeepEqual(&gotResp, want) {
+		t.Fatalf("store round-trip changed decoded struct: %+v (%v)", gotResp, err)
 	}
-	if got.splice != cf.splice {
-		t.Fatalf("store round-trip changed splice: %d vs %d", got.splice, cf.splice)
+	if spliceAt(got) != spliceAt(frame) {
+		t.Fatalf("store round-trip changed splice: %d vs %d", spliceAt(got), spliceAt(frame))
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package store is the durable, replicated plan store under the suud
 // fleet: content-addressed storage for finished plan and estimate
-// payloads, with a mem tier (sharded byte-LRU), a disk tier (append-only
-// checksummed segment log), and a replicated tier (consistent hashing
-// over a static replica set), composable via Tiered. The service layers
-// it under its typed response LRU as read-through/write-behind tiers.
+// payloads. Mem is a sharded byte-budgeted LRU; the service owns one as
+// its only in-memory tier. Disk is an append-only checksummed segment
+// log, and Replicated routes a local Disk across a static replica set by
+// consistent hashing. Whichever of those the service is given sits under
+// its memory tier as a read-through/write-behind store.
 //
 // # Consistency model
 //
@@ -43,7 +44,7 @@
 //
 // Each key has R owners on a consistent-hash ring over the static peer
 // set. A local miss reads through the remote owners and warms the local
-// tiers; a local write fans out to the owners asynchronously. An owner
+// store; a local write fans out to the owners asynchronously. An owner
 // that is down gets its writes as hints in a per-peer queue (persisted
 // to disk when configured) that drains when it returns — at-least-once
 // delivery, bounded by a cap that drops (and counts) overflow rather

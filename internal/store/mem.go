@@ -7,10 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// Mem is the in-memory backend: a byte-budgeted sharded LRU, the
-// service's response-cache design (power-of-two shards picked by mixed
-// key bits, intrusive recency list per shard) re-based on opaque []byte
-// values so it can sit in a tier stack.
+// Mem is the in-memory backend: a byte-budgeted sharded LRU
+// (power-of-two shards picked by mixed key bits, a recency list per
+// shard) over opaque []byte values. The service owns one as its only
+// in-memory response tier; tests also pass one in as a shared store.
 type Mem struct {
 	shards []memShard
 	mask   uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -67,5 +68,57 @@ func TestMemDupPutAndKeys(t *testing.T) {
 	}
 	if got := m.Keys(3); len(got) != 3 {
 		t.Fatalf("limited keys %d", len(got))
+	}
+}
+
+// TestMemConcurrent hammers a small mem store from many goroutines with
+// overlapping keys and one hot key, under -race: every read returns the
+// bytes put for its key, and afterwards each shard's recency list, map
+// and byte count agree and respect the budget.
+func TestMemConcurrent(t *testing.T) {
+	const budget = 4 << 10
+	m := NewMem(budget, 4)
+	ctx := context.Background()
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 64+i%7) }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := (g + i) % 100
+				if i%4 == 0 {
+					k = 0 // the hot key: concurrent re-puts and reads of one entry
+				}
+				if i%3 == 0 {
+					if err := m.Put(ctx, tkey(k), val(k)); err != nil {
+						t.Error(err)
+						return
+					}
+				} else if v, _, err := m.Get(ctx, tkey(k)); err == nil && !bytes.Equal(v, val(k)) {
+					t.Errorf("key %d served %d bytes of another value", k, len(v))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		var live int64
+		for el := s.order.Front(); el != nil; el = el.Next() {
+			live += int64(len(el.Value.(*memEntry).val))
+		}
+		if s.order.Len() != len(s.entries) || live != s.bytes {
+			t.Errorf("shard %d: list %d entries / %d bytes, map %d entries / %d bytes", i, s.order.Len(), live, len(s.entries), s.bytes)
+		}
+		if s.bytes > s.maxBytes && s.order.Len() > 1 {
+			t.Errorf("shard %d over budget: %d > %d bytes", i, s.bytes, s.maxBytes)
+		}
+		s.mu.Unlock()
+	}
+	if st := m.Stats(); st.BytesLive > budget {
+		t.Fatalf("store over budget: %+v", st)
 	}
 }

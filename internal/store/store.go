@@ -72,15 +72,15 @@ const (
 // PlanStore is the multi-backend storage interface for finished plan and
 // estimate payloads, in the style of fabbench's db iface and pebble-bench's
 // pluggable Database: mem (sharded LRU), disk (append-only checksummed
-// segment log), and replicated (consistent-hash peer routing over either)
-// all serve it, and Tiered layers them.
+// segment log), and replicated (consistent-hash peer routing over a local
+// store) all serve it.
 //
 // Values are opaque bytes owned by the caller; implementations must not
 // retain or mutate the slice passed to Put after returning, and callers
 // must not mutate the slice returned by Get (disk returns fresh copies;
 // mem returns its interned value).
 type PlanStore interface {
-	// Name identifies the backend ("mem", "disk", "replicated", "tiered").
+	// Name identifies the backend ("mem", "disk", "replicated").
 	Name() string
 	// Get returns the value for k and the tier that served it (TierMem,
 	// TierDisk, or TierPeer), or ErrNotFound. A replicated store falls
@@ -103,20 +103,21 @@ type PlanStore interface {
 	// Keys samples up to limit locally-held keys (anti-entropy's seed;
 	// order unspecified). limit <= 0 means all.
 	Keys(limit int) []Key
-	// Stats reads the cumulative ledger, merged across wrapped tiers.
+	// Stats reads the cumulative ledger, a wrapping store's merged with
+	// its local store's.
 	Stats() Stats
 	// WaitWarm blocks until the store is ready to serve a fleet: the disk
 	// index is rebuilt (done by Open) and the replicated startup
 	// anti-entropy pass has completed. mem and disk return immediately.
 	WaitWarm(ctx context.Context) error
 	// Close flushes (final fsync), stops background work, and closes the
-	// whole stack, wrapped tiers included.
+	// whole stack, a wrapped local store included.
 	Close() error
 }
 
-// Stats is the cumulative ledger every backend keeps; wrapping stores
-// merge their own counters with their children's. All counters are
-// monotone over the store's lifetime.
+// Stats is the cumulative ledger every backend keeps; a replicated store
+// adds its own counters to its local store's. All counters are monotone
+// over the store's lifetime.
 type Stats struct {
 	// Entries is live keys held locally (gauge, not a counter).
 	Entries int    `json:"entries"`
@@ -146,129 +147,6 @@ type Stats struct {
 	BytesTotal  int64  `json:"bytes_total"`
 	Segments    int    `json:"segments"`
 	Compactions uint64 `json:"compactions"`
-}
-
-// merge folds o into s.
-func (s *Stats) merge(o Stats) {
-	s.Entries += o.Entries
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Puts += o.Puts
-	s.PutSkips += o.PutSkips
-	s.PutErrors += o.PutErrors
-	s.CorruptDropped += o.CorruptDropped
-	s.HandoffQueued += o.HandoffQueued
-	s.HandoffDrained += o.HandoffDrained
-	s.HandoffDropped += o.HandoffDropped
-	s.PeerFetches += o.PeerFetches
-	s.PeerFetchFails += o.PeerFetchFails
-	s.AntiEntropyPulled += o.AntiEntropyPulled
-	s.BytesLive += o.BytesLive
-	s.BytesTotal += o.BytesTotal
-	s.Segments += o.Segments
-	s.Compactions += o.Compactions
-}
-
-// Tiered chains stores into read-through/write-behind layers: Get tries
-// each tier in order and promotes a hit into every tier above it; Put
-// writes through all tiers. The first tier is the fastest (mem), the last
-// the most durable (disk or replicated).
-type Tiered struct {
-	tiers []PlanStore
-}
-
-// NewTiered layers the given stores, first = top.
-func NewTiered(tiers ...PlanStore) *Tiered {
-	return &Tiered{tiers: tiers}
-}
-
-// Name implements PlanStore.
-func (t *Tiered) Name() string { return "tiered" }
-
-// Get implements PlanStore: read-through with promotion.
-func (t *Tiered) Get(ctx context.Context, k Key) ([]byte, string, error) {
-	for i, ps := range t.tiers {
-		v, tier, err := ps.Get(ctx, k)
-		if err != nil {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			_ = t.tiers[j].PutLocal(ctx, k, v) // promotion is best-effort
-		}
-		return v, tier, nil
-	}
-	return nil, "", ErrNotFound
-}
-
-// GetLocal implements PlanStore: like Get but no tier may leave the node.
-func (t *Tiered) GetLocal(ctx context.Context, k Key) ([]byte, string, error) {
-	for _, ps := range t.tiers {
-		if v, tier, err := ps.GetLocal(ctx, k); err == nil {
-			return v, tier, nil
-		}
-	}
-	return nil, "", ErrNotFound
-}
-
-// Put implements PlanStore: write-through to every tier; the first error
-// (deepest tier wins reporting) surfaces, but every tier is attempted.
-func (t *Tiered) Put(ctx context.Context, k Key, v []byte) error {
-	var firstErr error
-	for _, ps := range t.tiers {
-		if err := ps.Put(ctx, k, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// PutLocal implements PlanStore.
-func (t *Tiered) PutLocal(ctx context.Context, k Key, v []byte) error {
-	var firstErr error
-	for _, ps := range t.tiers {
-		if err := ps.PutLocal(ctx, k, v); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Keys implements PlanStore: the deepest tier holds the most complete set.
-func (t *Tiered) Keys(limit int) []Key {
-	if len(t.tiers) == 0 {
-		return nil
-	}
-	return t.tiers[len(t.tiers)-1].Keys(limit)
-}
-
-// Stats implements PlanStore.
-func (t *Tiered) Stats() Stats {
-	var s Stats
-	for _, ps := range t.tiers {
-		s.merge(ps.Stats())
-	}
-	return s
-}
-
-// WaitWarm implements PlanStore: every tier must be warm.
-func (t *Tiered) WaitWarm(ctx context.Context) error {
-	for _, ps := range t.tiers {
-		if err := ps.WaitWarm(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements PlanStore.
-func (t *Tiered) Close() error {
-	var firstErr error
-	for _, ps := range t.tiers {
-		if err := ps.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // PeerView returns the node-local face of ps for serving the peer
