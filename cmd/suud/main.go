@@ -24,12 +24,11 @@
 // adds a crash-safe durable plan store (internal/store) under it: computed
 // plans persist to an append-only checksummed log and survive restarts, so
 // a warm replica recomputes nothing. -peers (with -self and -store-dir)
-// replicates that store across a static fleet: local misses fall through
-// to the key's ring owners, writes fan out asynchronously, and a restarted
-// replica pulls what it missed before /readyz goes green.
-// -fsync picks the durability point (always | interval | never); the
-// -chaos-disk-* and -chaos-peer-error-p flags inject storage and
-// replication faults for drills.
+// replicates that store across a static fleet: each key has two ring
+// owners, local misses fall through to them, writes fan out
+// asynchronously, and a restarted replica pulls what it missed before
+// /readyz goes green. -fsync picks the durability point (always |
+// interval | never).
 package main
 
 import (
@@ -53,14 +52,10 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8650", "listen address")
-		workers      = flag.Int("workers", 0, "concurrent computations (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "queue depth before 429s (0 = 4x workers)")
-		maxTrials    = flag.Int("max-trials", 10000, "per-request Monte Carlo budget")
-		maxBatch     = flag.Int("max-batch", 256, "items per /v1/plan/batch request")
-		maxItemCost  = flag.Int("max-item-cost", 64, "per-item admission cost budget, in n·m/1024 units")
-		trialWorkers = flag.Int("trial-workers", 2, "Monte Carlo workers per estimate")
-		drainWait    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
+		addr      = flag.String("addr", "127.0.0.1:8650", "listen address")
+		workers   = flag.Int("workers", 0, "concurrent computations (0 = GOMAXPROCS)")
+		queue     = flag.Int("queue", 0, "queue depth before 429s (0 = 4x workers)")
+		drainWait = flag.Duration("drain", 30*time.Second, "graceful shutdown budget")
 
 		degradedPolicy = flag.String("degraded-policy", service.DegradeNever,
 			"overload response: reject (429s), independent (greedy fallback plans for independent-job requests), or all")
@@ -69,23 +64,12 @@ func main() {
 
 		storeDir      = flag.String("store-dir", "", "durable plan store directory (empty = no disk tier)")
 		storeMemBytes = flag.Int64("store-mem-bytes", 64<<20, "byte budget of the in-memory tier every answer is served from (must be > 0)")
-		fsyncMode     = flag.String("fsync", "interval", "disk store durability: always, interval, or never")
-		fsyncEvery    = flag.Duration("fsync-interval", 100*time.Millisecond, "sync period for -fsync interval")
-		compactBytes  = flag.Int64("store-compact-bytes", 256<<20, "auto-compact the log once it exceeds this and most bytes are dead (0 = off)")
+		fsyncMode     = flag.String("fsync", "interval", "disk store durability: always, interval (every 100ms), or never")
 		self          = flag.String("self", "", "this replica's base URL as peers reach it (required with -peers)")
 		peers         = flag.String("peers", "", "comma-separated replica base URLs, self included; replicates the -store-dir store (requires -store-dir)")
-		replication   = flag.Int("replication", 2, "ring owners per key in the replicated store")
 
-		chaos        = flag.Bool("chaos", false, "enable fault injection (the -chaos-* rates)")
-		chaosSeed    = flag.Int64("chaos-seed", 1, "fault-stream seed (same seed, same arrival order => same faults)")
-		chaosLatP    = flag.Float64("chaos-latency-p", 0.10, "P(injected request latency)")
-		chaosLat     = flag.Duration("chaos-latency", 50*time.Millisecond, "injected latency magnitude (±50% jitter)")
-		chaosErrP    = flag.Float64("chaos-error-p", 0.05, "P(injected 503 response)")
-		chaosPanicP  = flag.Float64("chaos-panic-p", 0.02, "P(injected handler panic; kills the connection)")
-		chaosStallP  = flag.Float64("chaos-stall-p", 0, "P(injected slow-solve stall at a compute checkpoint)")
-		chaosStall   = flag.Duration("chaos-stall", 100*time.Millisecond, "stall magnitude (±50% jitter)")
-		chaosCErrP   = flag.Float64("chaos-compute-error-p", 0, "P(injected compute error at a checkpoint)")
-		chaosCPanicP = flag.Float64("chaos-compute-panic-p", 0, "P(injected compute panic at a checkpoint)")
+		chaos     = flag.Bool("chaos", false, "inject faults into POST requests: 10% ~50ms latency, 5% 503s, 2% handler panics")
+		chaosSeed = flag.Int64("chaos-seed", 1, "fault-stream seed (same seed, same arrival order => same faults)")
 
 		traceSample = flag.Float64("trace-sample", 0.01, "request-trace sampling probability in [0,1]; errors, degraded serves, and the slowest requests are always kept")
 		traceRing   = flag.Int("trace-ring", 512, "kept traces retained for /debug/traces (0 disables the recorder)")
@@ -93,11 +77,6 @@ func main() {
 		traceLog    = flag.String("trace-log", "", "append kept traces to this binary CRC-framed log file")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
 		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-
-		chaosPeerErrP   = flag.Float64("chaos-peer-error-p", 0, "P(injected 503 on /v1/store/* peer traffic only; independent of -chaos)")
-		chaosBitFlipP   = flag.Float64("chaos-disk-bitflip-p", 0, "P(flipping one random bit of a disk record on read; needs -chaos)")
-		chaosShortReadP = flag.Float64("chaos-disk-shortread-p", 0, "P(zeroing a random tail of a disk record on read; needs -chaos)")
-		chaosENOSPC     = flag.Int64("chaos-disk-enospc-after", 0, "fail disk appends with ENOSPC after this many bytes (0 = off; needs -chaos)")
 	)
 	flag.Parse()
 
@@ -127,20 +106,13 @@ func main() {
 	var inj *faults.Injector
 	if *chaos {
 		inj = faults.New(faults.Config{
-			Seed:         *chaosSeed,
-			LatencyP:     *chaosLatP,
-			Latency:      *chaosLat,
-			ErrorP:       *chaosErrP,
-			PanicP:       *chaosPanicP,
-			HTTPMethod:   http.MethodPost, // keep /healthz, /readyz, /metrics probes clean
-			StallP:       *chaosStallP,
-			Stall:        *chaosStall,
-			ComputeErrP:  *chaosCErrP,
-			ComputePanic: *chaosCPanicP,
+			Seed:       *chaosSeed,
+			LatencyP:   0.10,
+			Latency:    50 * time.Millisecond,
+			ErrorP:     0.05,
+			PanicP:     0.02,
+			HTTPMethod: http.MethodPost, // keep /healthz, /readyz, /metrics probes clean
 		})
-		if inj == nil {
-			trace.Warn("-chaos set but every rate is zero; injecting nothing")
-		}
 	}
 
 	if *storeMemBytes <= 0 {
@@ -157,24 +129,8 @@ func main() {
 			if err != nil {
 				trace.Fatal("bad -fsync", "err", err)
 			}
-			dcfg := store.DiskConfig{
-				Fsync:         pol,
-				FsyncInterval: *fsyncEvery,
-				CompactBytes:  *compactBytes,
-			}
-			if *chaos {
-				if dinj := faults.NewDiskInjector(faults.DiskConfig{
-					Seed:             *chaosSeed,
-					BitFlipP:         *chaosBitFlipP,
-					ShortReadP:       *chaosShortReadP,
-					ENOSPC:           *chaosENOSPC > 0,
-					ENOSPCAfterBytes: *chaosENOSPC,
-				}); dinj != nil {
-					dcfg.WriteFault = dinj.WriteFault()
-					dcfg.ReadFault = dinj.ReadFault()
-				}
-			}
-			disk, err := store.Open(*storeDir, dcfg)
+			// CompactBytes has no library default (zero means never compact).
+			disk, err := store.Open(*storeDir, store.DiskConfig{Fsync: pol, CompactBytes: 256 << 20})
 			if err != nil {
 				trace.Fatal("opening store", "dir", *storeDir, "err", err)
 			}
@@ -194,10 +150,9 @@ func main() {
 				trace.Fatal("-peers needs -store-dir (the local store the fleet replicates)")
 			}
 			rep, err := store.NewReplicated(planStore, store.ReplicatedConfig{
-				Self:        *self,
-				Peers:       peerList,
-				Replication: *replication,
-				HandoffDir:  *storeDir, // hints persist next to the log
+				Self:       *self,
+				Peers:      peerList,
+				HandoffDir: *storeDir, // hints persist next to the log
 			})
 			if err != nil {
 				trace.Fatal("replicated store", "err", err)
@@ -210,34 +165,17 @@ func main() {
 		Workers:           *workers,
 		QueueDepth:        *queue,
 		MemBytes:          *storeMemBytes,
-		MaxTrials:         *maxTrials,
-		MaxBatchItems:     *maxBatch,
-		MaxItemCost:       *maxItemCost,
-		TrialWorkers:      *trialWorkers,
 		DegradedPolicy:    *degradedPolicy,
 		BrownoutThreshold: *brownout,
-		ComputeHook:       inj.ComputeHook(),
 		Store:             planStore,
 		TraceSample:       *traceSample,
 		TraceRing:         *traceRing,
 		TraceSlowN:        *traceSlow,
 		TraceLog:          traceLogWriter,
 	})
-	var handler http.Handler = service.NewServer(planner)
-	if *chaosPeerErrP > 0 {
-		// Peer-fault mode: a second injector scoped to the store's peer
-		// protocol, so replication traffic degrades while client traffic
-		// stays clean — the failover/handoff drill.
-		handler = faults.New(faults.Config{
-			Seed:           *chaosSeed + 1,
-			ErrorP:         *chaosPeerErrP,
-			HTTPMethod:     http.MethodPost,
-			HTTPPathPrefix: "/v1/store/",
-		}).Wrap(handler)
-	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           inj.Wrap(handler),
+		Handler:           inj.Wrap(service.NewServer(planner)),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -26,10 +26,7 @@ import (
 //
 // Run it with: go test -tags e2e -run TestRestartWarm ./cmd/suud
 func TestRestartWarm(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "suud")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building suud: %v\n%s", err, out)
-	}
+	bin := buildSuud(t)
 	dir := t.TempDir()
 
 	// The workload: 8 uniform n=64/m=16 instances, each planned three times.
@@ -99,6 +96,28 @@ func TestRestartWarm(t *testing.T) {
 		m.Plans, m.PlansComputed, m.StoreDiskHits, m.StoreEntries)
 }
 
+// buildSuud builds the daemon from this package into a temp directory.
+func buildSuud(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "suud")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building suud: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// freeAddr returns a loopback address with a port that was free a moment
+// ago.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
 type suudProc struct {
 	cmd  *exec.Cmd
 	base string
@@ -116,12 +135,7 @@ func (p *suudProc) kill() {
 // end of the test if it is still running.
 func startSuud(t *testing.T, bin, dir string) *suudProc {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
+	addr := freeAddr(t)
 	cmd := exec.Command(bin, "-addr", addr, "-store-dir", dir, "-fsync", "always", "-log-level", "warn")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

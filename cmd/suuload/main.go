@@ -1,17 +1,21 @@
-// Command suuload is the open-loop load harness for cmd/suud, in the
-// fabbench tradition: arrivals are paced by a Poisson or fixed-rate
-// process independent of completions (open mode), so queueing delay shows
-// up in the measured latencies instead of being hidden by client
-// self-throttling; a closed mode (N workers back-to-back) exists for
-// comparison. Per-op latencies land in a log-scale stats.Histogram and
-// the run emits a human summary on stderr plus, with -json, a
-// BENCH_*.json-compatible bench.Report on stdout.
+// Command suuload is the open-loop load harness for cmd/suud, the command
+// line over internal/load, in the fabbench tradition: arrivals are paced
+// by a Poisson or fixed-rate process independent of completions (open
+// mode), so queueing delay shows up in the measured latencies instead of
+// being hidden by client self-throttling; a closed mode (N workers
+// back-to-back) exists for comparison. Per-op latencies land in a
+// log-scale stats.Histogram and the run emits a human summary on stderr
+// plus, with -json, a BENCH_*.json-compatible bench.Report on stdout.
 //
 // Example against a local suud:
 //
 //	suud &
 //	suuload -url http://127.0.0.1:8650 -rate 300 -duration 10s \
 //	        -family uniform -m 16 -n 64 -instances 4 -json > load.json
+//
+// -url takes a comma-separated list of replicas for fleet mode: each
+// arrival prefers one replica in a rotating order and fails over to the
+// rest, and the report adds each replica's /metrics snapshot.
 //
 // Batch mode (-op plan-batch) issues /v1/plan/batch requests whose sizes
 // follow -batch-dist around -batch-size; -item-rate offers load in
@@ -42,17 +46,17 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"repro/internal/bench"
-	"repro/internal/service"
+	"repro/internal/load"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
 	var (
-		url         = flag.String("url", "http://127.0.0.1:8650", "suud base URL")
-		urls        = flag.String("urls", "", "comma-separated replica base URLs; enables fleet mode (per-request rotation with failover; overrides -url)")
+		url         = flag.String("url", "http://127.0.0.1:8650", "suud base URL; a comma-separated list runs fleet mode (per-request rotation with failover)")
 		mode        = flag.String("mode", "open", "open (paced arrivals) or closed (back-to-back workers)")
 		arrival     = flag.String("arrival", "poisson", "open-mode arrival process: poisson or fixed")
 		rate        = flag.Float64("rate", 100, "open-mode offered load, requests/second")
@@ -76,7 +80,6 @@ func main() {
 		replay      = flag.String("replay", "", "re-issue a recorded trace instead of generating load (shape flags are ignored)")
 		speed       = flag.Float64("speed", 1, "replay schedule scale: 2 replays twice as fast")
 		jsonOut     = flag.Bool("json", false, "emit a bench.Report JSON document on stdout")
-		note        = flag.String("note", "", "free-form note recorded in the JSON report")
 		smoke       = flag.Bool("smoke", false, "exit nonzero unless done > 0 and errors == 0")
 	)
 	flag.Parse()
@@ -90,22 +93,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	baseURL := *url
-	var baseURLs []string
-	if *urls != "" {
-		// Fleet mode: -urls replaces -url entirely so the default value of
-		// -url does not sneak a phantom fourth replica into the rotation.
-		baseURL = ""
-		for _, u := range strings.Split(*urls, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				baseURLs = append(baseURLs, strings.TrimRight(u, "/"))
-			}
-		}
-	}
-
-	rep, err := service.RunLoad(ctx, service.LoadConfig{
-		BaseURL:     baseURL,
-		BaseURLs:    baseURLs,
+	// Split on commas and blanks alike, so the list indexes rep.Fleet.
+	urls := strings.FieldsFunc(*url, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	rep, err := load.Run(ctx, load.Config{
+		URLs:        urls,
 		Mode:        *mode,
 		Arrival:     *arrival,
 		Rate:        *rate,
@@ -198,26 +189,19 @@ func main() {
 			len(rep.Fleet), up, rep.FleetHitRate, rep.FleetStoreHits, rep.FleetPlansComputed)
 		for i, sn := range rep.Fleet {
 			if sn == nil {
-				fmt.Fprintf(os.Stderr, "suuload: fleet[%d] %s: unreachable\n", i, baseURLs[i])
+				fmt.Fprintf(os.Stderr, "suuload: fleet[%d] %s: unreachable\n", i, urls[i])
 				continue
 			}
 			fmt.Fprintf(os.Stderr,
 				"suuload: fleet[%d] %s: plans=%d computed=%d hits=%d coalesced=%d disk_hits=%d peer_hits=%d\n",
-				i, baseURLs[i], sn.Plans, sn.PlansComputed, sn.CacheHits, sn.Coalesced, sn.StoreDiskHits, sn.StorePeerHits)
+				i, urls[i], sn.Plans, sn.PlansComputed, sn.CacheHits, sn.Coalesced, sn.StoreDiskHits, sn.StorePeerHits)
 		}
 	}
 
 	if *jsonOut {
 		report := bench.NewReport(bench.Config{Seed: *seed})
-		if *note != "" {
-			report.Notes = append(report.Notes, *note)
-		}
-		target := *url
-		if len(baseURLs) > 0 {
-			target = strings.Join(baseURLs, ",")
-		}
 		report.Notes = append(report.Notes,
-			fmt.Sprintf("suuload %s/%s against %s: %d×%s m=%d n=%d", rep.Mode, rep.Arrival, target, *instances, *family, *m, *n))
+			fmt.Sprintf("suuload %s/%s against %s: %d×%s m=%d n=%d", rep.Mode, rep.Arrival, *url, *instances, *family, *m, *n))
 		if rep.Curve != "" || rep.Popularity != "" {
 			report.Notes = append(report.Notes,
 				fmt.Sprintf("traffic: curve=%s pop=%s", rep.Curve, rep.Popularity))
@@ -374,7 +358,7 @@ func stageCells(stages map[string]float64, n uint64) string {
 	return b.String()
 }
 
-func hitRateCell(rep *service.LoadReport) string {
+func hitRateCell(rep *load.Report) string {
 	if rep.ServerMetrics == nil {
 		return "n/a"
 	}
@@ -382,7 +366,7 @@ func hitRateCell(rep *service.LoadReport) string {
 }
 
 // perItemBytes is the mean response bytes paid per delivered item.
-func perItemBytes(rep *service.LoadReport) float64 {
+func perItemBytes(rep *load.Report) float64 {
 	if rep.ItemsDone == 0 {
 		return 0
 	}

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/faults"
+	"repro/internal/load"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -58,8 +59,8 @@ func main() {
 
 	// Open-loop load: 200 plan requests/second, Poisson arrivals, cycling
 	// two n=32/m=8 instances so the second sight of each is a cache hit.
-	rep, err := service.RunLoad(context.Background(), service.LoadConfig{
-		BaseURL:  base,
+	rep, err := load.Run(context.Background(), load.Config{
+		URLs:     []string{base},
 		Mode:     "open",
 		Arrival:  "poisson",
 		Rate:     200,
@@ -127,8 +128,8 @@ func main() {
 	// The same comparison at load: batch mode at the identical offered
 	// ITEM rate amortizes per-request HTTP/JSON cost into one round trip
 	// per batch.
-	brep, err := service.RunLoad(context.Background(), service.LoadConfig{
-		BaseURL:   base,
+	brep, err := load.Run(context.Background(), load.Config{
+		URLs:      []string{base},
 		Mode:      "open",
 		Arrival:   "poisson",
 		ItemRate:  200, // = the single-run request rate, in items/s
@@ -159,8 +160,8 @@ func main() {
 	}
 	defer os.RemoveAll(traceDir)
 	tracePath := traceDir + "/run.trace"
-	srep, err := service.RunLoad(context.Background(), service.LoadConfig{
-		BaseURL:    base,
+	srep, err := load.Run(context.Background(), load.Config{
+		URLs:       []string{base},
 		Mode:       "open",
 		Arrival:    "poisson",
 		Curve:      "switching:300:60:1s", // 300 req/s half the time, 60 the other half
@@ -176,8 +177,8 @@ func main() {
 	}
 	fmt.Printf("\nshaped load (%s, %s): issued=%d done=%d over %.1fs issuing + %.2fs drain; recorded %d requests\n",
 		srep.Curve, srep.Popularity, srep.Issued, srep.Done, srep.DurationS, srep.DrainS, srep.Recorded)
-	rrep, err := service.RunLoad(context.Background(), service.LoadConfig{
-		BaseURL:     base,
+	rrep, err := load.Run(context.Background(), load.Config{
+		URLs:        []string{base},
 		ReplayPath:  tracePath,
 		ReplaySpeed: 2,
 	})

@@ -20,7 +20,6 @@ package faults
 import (
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,10 +53,6 @@ type Config struct {
 	ErrorP     float64       // probability of an injected 503
 	PanicP     float64       // probability of an injected handler panic
 	HTTPMethod string        // if set, only requests with this method are faulted (POST keeps probes clean)
-	// HTTPPathPrefix, if set, faults only requests under this path — the
-	// peer-fault mode: scope an injector to /v1/store/ and only the
-	// replication traffic suffers while client traffic stays clean.
-	HTTPPathPrefix string
 
 	// Compute-hook faults, applied per planner checkpoint.
 	StallP       float64       // probability of an injected slow-solve stall
@@ -147,10 +142,6 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if in.cfg.HTTPMethod != "" && r.Method != in.cfg.HTTPMethod {
-			next.ServeHTTP(w, r)
-			return
-		}
-		if in.cfg.HTTPPathPrefix != "" && !strings.HasPrefix(r.URL.Path, in.cfg.HTTPPathPrefix) {
 			next.ServeHTTP(w, r)
 			return
 		}

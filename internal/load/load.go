@@ -1,4 +1,11 @@
-package service
+// Package load is the client side of suud: the open-loop and closed-loop
+// load generator behind cmd/suuload. Run paces arrivals from a rate curve
+// (or a recorded trace), draws request bodies by popularity, sends them
+// through the retrying client across one or more replicas, and reports a
+// request and item ledger, latency quantiles, per-source server-side
+// attribution parsed from X-Suu-Trace headers, and each replica's
+// post-run /metrics snapshot.
+package load
 
 import (
 	"context"
@@ -6,28 +13,28 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
 
-// LoadConfig describes one suuload run against a running suud.
-type LoadConfig struct {
-	// BaseURL is the server root, e.g. http://127.0.0.1:8650.
-	BaseURL string
-	// BaseURLs, when set, runs fleet mode: each arrival is offered to the
-	// replicas in a per-request rotation (spreading load evenly), and the
-	// retrying client fails over across them — an arrival only errors when
-	// every replica refuses it. BaseURL may be empty when BaseURLs is set;
-	// if both are set, BaseURL is prepended.
-	BaseURLs []string
+// Config describes one suuload run against a running suud.
+type Config struct {
+	// URLs are the server roots, e.g. http://127.0.0.1:8650. More than one
+	// runs fleet mode: each arrival is offered to the replicas in a
+	// per-request rotation (spreading load evenly), and the retrying
+	// client fails over across them — an arrival only errors when every
+	// replica refuses it. Blank entries are skipped.
+	URLs []string
 	// Mode is "open" (arrivals at Rate regardless of completions — the
 	// honest way to measure a service, per the fabbench/open-vs-closed
 	// literature: closed loops hide queueing delay by self-throttling) or
@@ -96,7 +103,7 @@ type LoadConfig struct {
 	ReplaySpeed float64
 }
 
-// LoadReport is the measured outcome. Latencies are seconds and are
+// Report is the measured outcome. Latencies are seconds and are
 // per-request — for plan-batch, per batch. Item accounting reconciles by
 // construction: ItemsIssued counts the items of every request actually
 // sent, and each of those items ends in ItemsDone or ItemsErrors (a
@@ -104,7 +111,7 @@ type LoadConfig struct {
 // splits its items by per-item status). For single-item ops the item
 // fields mirror the request fields, so single and batch runs compare
 // directly at the item level.
-type LoadReport struct {
+type Report struct {
 	Mode            string  `json:"mode"`
 	Op              string  `json:"op"`
 	Arrival         string  `json:"arrival,omitempty"`
@@ -160,12 +167,12 @@ type LoadReport struct {
 	RecordErrors uint64  `json:"record_errors,omitempty"`
 	ReplaySpeed  float64 `json:"replay_speed,omitempty"`
 
-	LatMean       float64          `json:"lat_mean_s"`
-	LatP50        float64          `json:"lat_p50_s"`
-	LatP95        float64          `json:"lat_p95_s"`
-	LatP99        float64          `json:"lat_p99_s"`
-	LatMax        float64          `json:"lat_max_s"`
-	ServerMetrics *MetricsSnapshot `json:"server_metrics,omitempty"`
+	LatMean       float64                  `json:"lat_mean_s"`
+	LatP50        float64                  `json:"lat_p50_s"`
+	LatP95        float64                  `json:"lat_p95_s"`
+	LatP99        float64                  `json:"lat_p99_s"`
+	LatMax        float64                  `json:"lat_max_s"`
+	ServerMetrics *service.MetricsSnapshot `json:"server_metrics,omitempty"`
 
 	// Fleet mode: one post-run snapshot per replica (nil slot for an
 	// unreachable replica — a killed one stays in the ledger), and the
@@ -175,10 +182,10 @@ type LoadReport struct {
 	// disk+peer share of that; FleetPlansComputed is the total number of
 	// plans any replica actually computed, the denominator of the "how much
 	// work did replication save" question.
-	Fleet              []*MetricsSnapshot `json:"fleet,omitempty"`
-	FleetHitRate       float64            `json:"fleet_hit_rate,omitempty"`
-	FleetStoreHits     uint64             `json:"fleet_store_hits,omitempty"`
-	FleetPlansComputed uint64             `json:"fleet_plans_computed,omitempty"`
+	Fleet              []*service.MetricsSnapshot `json:"fleet,omitempty"`
+	FleetHitRate       float64                    `json:"fleet_hit_rate,omitempty"`
+	FleetStoreHits     uint64                     `json:"fleet_store_hits,omitempty"`
+	FleetPlansComputed uint64                     `json:"fleet_plans_computed,omitempty"`
 
 	// Server-side attribution, parsed from the X-Suu-Trace headers of
 	// traced responses (run suud with -trace-sample 1 for full coverage).
@@ -194,20 +201,20 @@ type LoadReport struct {
 	ServerTotalSeconds map[string]float64            `json:"server_total_seconds,omitempty"`
 	// ServerVersion is the target's /version document (first replica),
 	// so every saved report names the build it measured.
-	ServerVersion *VersionInfo `json:"server_version,omitempty"`
+	ServerVersion *service.VersionInfo `json:"server_version,omitempty"`
 
 	// Latencies is the merged histogram backing the quantiles above.
 	Latencies *stats.Histogram `json:"-"`
 }
 
-// loadSources is the serving-source vocabulary the attribution tables are
+// sources is the serving-source vocabulary the attribution tables are
 // keyed by, in display order.
-var loadSources = [nLoadSources]string{"cached", "computed", "coalesced", "degraded", "batch"}
+var sources = [nSources]string{"cached", "computed", "coalesced", "degraded", "batch"}
 
-const nLoadSources = 5
+const nSources = 5
 
-func loadSourceIndex(src string) int {
-	for i, s := range loadSources {
+func sourceIndex(src string) int {
+	for i, s := range sources {
 		if s == src {
 			return i
 		}
@@ -215,20 +222,20 @@ func loadSourceIndex(src string) int {
 	return -1
 }
 
-// loadWorkerState is one issuing goroutine's recorder; kept per-worker so
+// workerState is one issuing goroutine's recorder; kept per-worker so
 // the hot path never contends, merged into the report at the end.
-type loadWorkerState struct {
+type workerState struct {
 	hist *stats.Histogram
 	// Per-source server-side attribution in microseconds, accumulated
 	// from parsed X-Suu-Trace headers.
-	traced  [nLoadSources]uint64
-	stageUS [nLoadSources][trace.NumStages]int64
-	totalUS [nLoadSources]int64
+	traced  [nSources]uint64
+	stageUS [nSources][trace.NumStages]int64
+	totalUS [nSources]int64
 }
 
 // observeTrace folds one parsed trace summary into the worker ledger.
-func (ws *loadWorkerState) observeTrace(sum trace.Summary) {
-	si := loadSourceIndex(sum.Source)
+func (ws *workerState) observeTrace(sum trace.Summary) {
+	si := sourceIndex(sum.Source)
 	if si < 0 {
 		return
 	}
@@ -260,34 +267,35 @@ func rotationOf(arrival uint64, seed int64, n int) int {
 	return int((arrival + x) % uint64(n))
 }
 
-// RunLoad drives the configured load and reports. The context cancels the
+// Run drives the configured load and reports. The context cancels the
 // run early (in-flight requests still drain).
-func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
-	bases := make([]string, 0, 1+len(cfg.BaseURLs))
-	if cfg.BaseURL != "" {
-		bases = append(bases, cfg.BaseURL)
+func Run(ctx context.Context, cfg Config) (*Report, error) {
+	var bases []string
+	for _, u := range cfg.URLs {
+		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
+			bases = append(bases, u)
+		}
 	}
-	bases = append(bases, cfg.BaseURLs...)
 	if len(bases) == 0 {
-		return nil, fmt.Errorf("service: load needs a base URL")
+		return nil, fmt.Errorf("load: needs a base URL")
 	}
 	var replay *traffic.Trace
 	if cfg.ReplayPath != "" {
 		if cfg.RecordPath == cfg.ReplayPath {
-			return nil, fmt.Errorf("service: record and replay cannot share a path")
+			return nil, fmt.Errorf("load: record and replay cannot share a path")
 		}
 		tr, err := traffic.OpenTrace(cfg.ReplayPath)
 		if err != nil {
 			return nil, err
 		}
 		if len(tr.Requests) == 0 {
-			return nil, fmt.Errorf("service: replay trace %s has no requests", cfg.ReplayPath)
+			return nil, fmt.Errorf("load: replay trace %s has no requests", cfg.ReplayPath)
 		}
 		if cfg.ReplaySpeed == 0 {
 			cfg.ReplaySpeed = 1
 		}
 		if !(cfg.ReplaySpeed > 0) || math.IsInf(cfg.ReplaySpeed, 1) {
-			return nil, fmt.Errorf("service: replay speed %g (want finite > 0)", cfg.ReplaySpeed)
+			return nil, fmt.Errorf("load: replay speed %g (want finite > 0)", cfg.ReplaySpeed)
 		}
 		// The recording's header rebuilds the exact bodies the trace
 		// indexes into; the caller's shape flags do not apply. Duration
@@ -301,20 +309,20 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		replay = tr
 	}
 	if len(cfg.Specs) == 0 {
-		return nil, fmt.Errorf("service: load needs at least one instance spec")
+		return nil, fmt.Errorf("load: needs at least one instance spec")
 	}
 	if cfg.Mode == "" {
 		cfg.Mode = "open"
 	}
 	if cfg.Mode != "open" && cfg.Mode != "closed" {
-		return nil, fmt.Errorf("service: load mode %q (want open or closed)", cfg.Mode)
+		return nil, fmt.Errorf("load: mode %q (want open or closed)", cfg.Mode)
 	}
 	if replay == nil {
 		if cfg.Arrival == "" {
 			cfg.Arrival = "poisson"
 		}
 		if cfg.Arrival != "poisson" && cfg.Arrival != "fixed" {
-			return nil, fmt.Errorf("service: arrival %q (want poisson or fixed)", cfg.Arrival)
+			return nil, fmt.Errorf("load: arrival %q (want poisson or fixed)", cfg.Arrival)
 		}
 	}
 	if cfg.Concurrency <= 0 {
@@ -327,7 +335,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		cfg.Op = "plan"
 	}
 	if cfg.Op != "plan" && cfg.Op != "estimate" && cfg.Op != "plan-batch" {
-		return nil, fmt.Errorf("service: op %q (want plan, estimate, or plan-batch)", cfg.Op)
+		return nil, fmt.Errorf("load: op %q (want plan, estimate, or plan-batch)", cfg.Op)
 	}
 	if cfg.Op == "plan-batch" {
 		if cfg.BatchSize <= 0 {
@@ -337,11 +345,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			cfg.BatchDist = "fixed"
 		}
 		if cfg.BatchDist != "fixed" && cfg.BatchDist != "uniform" {
-			return nil, fmt.Errorf("service: batch dist %q (want fixed or uniform)", cfg.BatchDist)
+			return nil, fmt.Errorf("load: batch dist %q (want fixed or uniform)", cfg.BatchDist)
 		}
 		if cfg.ItemRate > 0 {
 			if cfg.Mode != "open" {
-				return nil, fmt.Errorf("service: item-rate pacing needs open mode")
+				return nil, fmt.Errorf("load: item-rate pacing needs open mode")
 			}
 			// Offer items, not requests: both distributions have mean
 			// BatchSize, so this hits the configured item rate in
@@ -349,7 +357,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			cfg.Rate = cfg.ItemRate / float64(cfg.BatchSize)
 		}
 	} else if cfg.BatchSize > 0 || cfg.BatchDist != "" || cfg.ItemRate > 0 {
-		return nil, fmt.Errorf("service: batch options need op plan-batch, got %q", cfg.Op)
+		return nil, fmt.Errorf("load: batch options need op plan-batch, got %q", cfg.Op)
 	}
 	// The rate curve subsumes the old "open mode needs rate > 0" check:
 	// the default curve is constant at cfg.Rate and ParseCurve rejects a
@@ -366,11 +374,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			if cv, ok := c.(traffic.Constant); ok {
 				cfg.Rate = cv.RPS
 			} else if cfg.ItemRate > 0 {
-				return nil, fmt.Errorf("service: item-rate pacing needs a constant curve, got %q", cfg.Curve)
+				return nil, fmt.Errorf("load: item-rate pacing needs a constant curve, got %q", cfg.Curve)
 			}
 			curve = c
 		case cfg.Curve != "" && cfg.Curve != "constant":
-			return nil, fmt.Errorf("service: rate curve %q needs open mode", cfg.Curve)
+			return nil, fmt.Errorf("load: rate curve %q needs open mode", cfg.Curve)
 		}
 	}
 	if cfg.Timeout <= 0 {
@@ -380,13 +388,13 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	// Pre-generate and pre-marshal every request body: the harness must
 	// not spend its issuing budget on instance generation or JSON
 	// encoding, or measured latency drifts with client cost.
-	instances := make([]*PlanRequest, len(cfg.Specs))
+	instances := make([]*service.PlanRequest, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
 		ins, err := workload.Generate(spec)
 		if err != nil {
-			return nil, fmt.Errorf("service: generating spec %d: %w", i, err)
+			return nil, fmt.Errorf("load: generating spec %d: %w", i, err)
 		}
-		instances[i] = &PlanRequest{Instance: ins}
+		instances[i] = &service.PlanRequest{Instance: ins}
 	}
 	var path string
 	var bodies [][]byte
@@ -399,16 +407,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			bodies = make([][]byte, len(instances))
 			for i, req := range instances {
 				if bodies[i], err = json.Marshal(req); err != nil {
-					return nil, fmt.Errorf("service: marshaling spec %d: %w", i, err)
+					return nil, fmt.Errorf("load: marshaling spec %d: %w", i, err)
 				}
 			}
 		case "estimate":
 			path = "/v1/estimate"
 			bodies = make([][]byte, len(instances))
 			for i, req := range instances {
-				er := &EstimateRequest{Instance: req.Instance, Trials: cfg.Trials, Seed: 1}
+				er := &service.EstimateRequest{Instance: req.Instance, Trials: cfg.Trials, Seed: 1}
 				if bodies[i], err = json.Marshal(er); err != nil {
-					return nil, fmt.Errorf("service: marshaling spec %d: %w", i, err)
+					return nil, fmt.Errorf("load: marshaling spec %d: %w", i, err)
 				}
 			}
 		case "plan-batch":
@@ -441,13 +449,13 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 						size = 2*cfg.BatchSize - lastSize
 					}
 				}
-				items := make([]PlanRequest, size)
+				items := make([]service.PlanRequest, size)
 				for k := range items {
 					items[k] = *instances[next%len(instances)]
 					next++
 				}
-				if bodies[b], err = json.Marshal(&BatchPlanRequest{Items: items}); err != nil {
-					return nil, fmt.Errorf("service: marshaling batch body %d: %w", b, err)
+				if bodies[b], err = json.Marshal(&service.BatchPlanRequest{Items: items}); err != nil {
+					return nil, fmt.Errorf("load: marshaling batch body %d: %w", b, err)
 				}
 				bodyItems[b] = uint64(size)
 			}
@@ -526,7 +534,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	var issued, done, errs, rejected, dropped atomic.Uint64
 	var itemsIssued, itemsDone, itemsErr, bytesRead atomic.Uint64
 	var degraded, itemsDegraded, injectedErrs, organic5xx atomic.Uint64
-	workers := make([]loadWorkerState, cfg.Concurrency)
+	workers := make([]workerState, cfg.Concurrency)
 	for i := range workers {
 		workers[i].hist = stats.NewLatencyHistogram()
 	}
@@ -536,7 +544,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	// the dispatcher, not measured in the worker, so the recorded
 	// schedule is strictly ordered and free of dispatch jitter: a replay
 	// of a recording re-issues the exact same sequence.
-	issue := func(ws *loadWorkerState, arrival uint64, idx int, rel time.Duration) {
+	issue := func(ws *workerState, arrival uint64, idx int, rel time.Duration) {
 		items := uint64(1)
 		if batchOp {
 			items = bodyItems[idx]
@@ -745,14 +753,14 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	totalS := time.Since(startWall).Seconds()
 
 	merged := stats.NewLatencyHistogram()
-	var traced [nLoadSources]uint64
-	var stageUS [nLoadSources][trace.NumStages]int64
-	var totalUS [nLoadSources]int64
+	var traced [nSources]uint64
+	var stageUS [nSources][trace.NumStages]int64
+	var totalUS [nSources]int64
 	for i := range workers {
 		if err := merged.Merge(workers[i].hist); err != nil {
 			return nil, err
 		}
-		for si := range loadSources {
+		for si := range sources {
 			traced[si] += workers[i].traced[si]
 			totalUS[si] += workers[i].totalUS[si]
 			for st := 0; st < trace.NumStages; st++ {
@@ -761,7 +769,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		}
 	}
 	cm := suu.Snapshot()
-	rep := &LoadReport{
+	rep := &Report{
 		Mode:                cfg.Mode,
 		Op:                  cfg.Op,
 		DurationS:           issuingS,
@@ -824,7 +832,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	} else {
 		rep.Popularity = pop.String()
 	}
-	for si, src := range loadSources {
+	for si, src := range sources {
 		if traced[si] == 0 {
 			continue
 		}
@@ -863,7 +871,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		rep.ServerVersion = vi
 	}
 	if len(bases) > 1 {
-		rep.Fleet = make([]*MetricsSnapshot, len(bases))
+		rep.Fleet = make([]*service.MetricsSnapshot, len(bases))
 		var lookups, notComputed uint64
 		for i, b := range bases {
 			snap, err := FetchMetrics(ctx, plainClient, b)
@@ -884,7 +892,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 }
 
 // FetchVersion GETs and decodes /version.
-func FetchVersion(ctx context.Context, client *http.Client, baseURL string) (*VersionInfo, error) {
+func FetchVersion(ctx context.Context, client *http.Client, baseURL string) (*service.VersionInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/version", nil)
 	if err != nil {
 		return nil, err
@@ -895,9 +903,9 @@ func FetchVersion(ctx context.Context, client *http.Client, baseURL string) (*Ve
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("service: /version status %d", resp.StatusCode)
+		return nil, fmt.Errorf("load: /version status %d", resp.StatusCode)
 	}
-	var vi VersionInfo
+	var vi service.VersionInfo
 	if err := json.NewDecoder(resp.Body).Decode(&vi); err != nil {
 		return nil, err
 	}
@@ -905,7 +913,7 @@ func FetchVersion(ctx context.Context, client *http.Client, baseURL string) (*Ve
 }
 
 // FetchMetrics GETs and decodes /metrics.
-func FetchMetrics(ctx context.Context, client *http.Client, baseURL string) (*MetricsSnapshot, error) {
+func FetchMetrics(ctx context.Context, client *http.Client, baseURL string) (*service.MetricsSnapshot, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
 	if err != nil {
 		return nil, err
@@ -916,9 +924,9 @@ func FetchMetrics(ctx context.Context, client *http.Client, baseURL string) (*Me
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("service: /metrics status %d", resp.StatusCode)
+		return nil, fmt.Errorf("load: /metrics status %d", resp.StatusCode)
 	}
-	var snap MetricsSnapshot
+	var snap service.MetricsSnapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return nil, err
 	}

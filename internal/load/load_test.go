@@ -1,35 +1,71 @@
-package service
+package load
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/service"
 	"repro/internal/workload"
 )
+
+// newTestServer serves a small real planner over a loopback listener for
+// the length of the test.
+func newTestServer(t *testing.T, extra func(*service.Config)) *httptest.Server {
+	t.Helper()
+	cfg := service.Config{Workers: 2, QueueDepth: 8,
+		MaxTrials: 500, DefaultTrials: 20, TrialWorkers: 2, ProgressChunk: 8}
+	if extra != nil {
+		extra(&cfg)
+	}
+	p := service.NewPlanner(cfg)
+	ts := httptest.NewServer(service.NewServer(p))
+	t.Cleanup(func() {
+		ts.Close()
+		p.Close()
+	})
+	return ts
+}
+
+// tracedServer is newTestServer with every request traced.
+func tracedServer(t *testing.T, extra func(*service.Config)) *httptest.Server {
+	t.Helper()
+	return newTestServer(t, func(cfg *service.Config) {
+		cfg.TraceSample = 1
+		cfg.TraceRing = 64
+		cfg.TraceSlowN = 8
+		if extra != nil {
+			extra(cfg)
+		}
+	})
+}
 
 func TestRunLoadValidation(t *testing.T) {
 	ctx := context.Background()
 	specs := []workload.Spec{{Family: "uniform", M: 2, N: 4, Seed: 1}}
-	cases := []LoadConfig{
-		{},                    // no URL
-		{BaseURL: "http://x"}, // no specs
-		{BaseURL: "http://x", Specs: specs, Mode: "sideways"},
-		{BaseURL: "http://x", Specs: specs, Arrival: "bursty"},
-		{BaseURL: "http://x", Specs: specs, Mode: "open", Rate: 0},
-		{BaseURL: "http://x", Specs: specs, Mode: "closed", Op: "delete"},
-		{BaseURL: "http://x", Specs: specs, Op: "plan", BatchSize: 4},                                           // batch knobs without batch op
-		{BaseURL: "http://x", Specs: specs, Op: "plan-batch", BatchDist: "zipf", Rate: 10},                      // unknown distribution
-		{BaseURL: "http://x", Specs: specs, Op: "plan-batch", Mode: "closed", ItemRate: 10, Rate: 10},           // item pacing is open-mode
-		{BaseURL: "http://x", Specs: specs, Mode: "open", Rate: 10, Curve: "sawtooth:1:2:3s"},                   // unknown curve
-		{BaseURL: "http://x", Specs: specs, Mode: "closed", Curve: "switching:10:1:1s"},                         // shaped curve needs open mode
-		{BaseURL: "http://x", Specs: specs, Mode: "open", Rate: 10, Popularity: "pareto:1"},                     // unknown popularity
-		{BaseURL: "http://x", Specs: specs, Op: "plan-batch", ItemRate: 10, Rate: 10, Curve: "linstep:1:20:1s"}, // item pacing needs a constant curve
-		{BaseURL: "http://x", Specs: specs, ReplayPath: "/nonexistent/run.trace"},                               // unreadable trace
-		{BaseURL: "http://x", Specs: specs, ReplayPath: "/tmp/run.trace", RecordPath: "/tmp/run.trace"},         // record over the replay source
+	x := []string{"http://x"}
+	cases := []Config{
+		{}, // no URL
+		{URLs: []string{}, Specs: specs, Rate: 10},         // empty URL list
+		{URLs: []string{"", "  "}, Specs: specs, Rate: 10}, // only blank URLs
+		{URLs: x}, // no specs
+		{URLs: x, Specs: specs, Mode: "sideways"},
+		{URLs: x, Specs: specs, Arrival: "bursty"},
+		{URLs: x, Specs: specs, Mode: "open", Rate: 0},
+		{URLs: x, Specs: specs, Mode: "closed", Op: "delete"},
+		{URLs: x, Specs: specs, Op: "plan", BatchSize: 4},                                           // batch knobs without batch op
+		{URLs: x, Specs: specs, Op: "plan-batch", BatchDist: "zipf", Rate: 10},                      // unknown distribution
+		{URLs: x, Specs: specs, Op: "plan-batch", Mode: "closed", ItemRate: 10, Rate: 10},           // item pacing is open-mode
+		{URLs: x, Specs: specs, Mode: "open", Rate: 10, Curve: "sawtooth:1:2:3s"},                   // unknown curve
+		{URLs: x, Specs: specs, Mode: "closed", Curve: "switching:10:1:1s"},                         // shaped curve needs open mode
+		{URLs: x, Specs: specs, Mode: "open", Rate: 10, Popularity: "pareto:1"},                     // unknown popularity
+		{URLs: x, Specs: specs, Op: "plan-batch", ItemRate: 10, Rate: 10, Curve: "linstep:1:20:1s"}, // item pacing needs a constant curve
+		{URLs: x, Specs: specs, ReplayPath: "/nonexistent/run.trace"},                               // unreadable trace
+		{URLs: x, Specs: specs, ReplayPath: "/tmp/run.trace", RecordPath: "/tmp/run.trace"},         // record over the replay source
 	}
 	for i, cfg := range cases {
-		if _, err := RunLoad(ctx, cfg); err == nil {
+		if _, err := Run(ctx, cfg); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -40,9 +76,9 @@ func TestRunLoadValidation(t *testing.T) {
 // rate, must finish with zero errors, nonzero throughput, p99 recorded,
 // and a warm cache (the two specs repeat across arrivals).
 func TestRunLoadOpenLoop(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	ts := newTestServer(t, nil)
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "open",
 		Arrival:     "poisson",
 		Rate:        150,
@@ -89,9 +125,9 @@ func TestRunLoadOpenLoop(t *testing.T) {
 // reconciles exactly (items_issued = items_done + items_errors) with the
 // request ledger and the server's own batch counters.
 func TestRunLoadBatchMode(t *testing.T) {
-	ts, _ := newTestServer(t, func(c *Config) { c.QueueDepth = 256 })
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	ts := newTestServer(t, func(c *service.Config) { c.QueueDepth = 256 })
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		ItemRate:    400,
@@ -147,9 +183,9 @@ func TestRunLoadBatchMode(t *testing.T) {
 }
 
 func TestRunLoadClosedLoop(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	ts := newTestServer(t, nil)
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "closed",
 		Concurrency: 4,
 		Duration:    400 * time.Millisecond,
@@ -174,9 +210,9 @@ func TestRunLoadClosedLoop(t *testing.T) {
 // time never exceeds client-observed time. The server's build info rides
 // along.
 func TestRunLoadTraceAttribution(t *testing.T) {
-	ts, _ := tracedServer(t, nil)
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	ts := tracedServer(t, nil)
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "closed",
 		Duration:    400 * time.Millisecond,
 		Concurrency: 4,

@@ -1,8 +1,7 @@
-package service
+package load
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/service"
 	"repro/internal/traffic"
 	"repro/internal/workload"
 )
@@ -81,8 +81,8 @@ func (s *bodySink) count() int {
 func TestFleetRotationCoversAllPairs(t *testing.T) {
 	a := newBodySink(t, nil)
 	b := newBodySink(t, nil)
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURLs:    []string{a.ts.URL, b.ts.URL},
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{a.ts.URL, b.ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		Rate:        500,
@@ -125,8 +125,8 @@ func TestThroughputExcludesDrain(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{}`)
 	})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     slow.ts.URL,
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{slow.ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		Rate:        40,
@@ -168,8 +168,8 @@ func TestOrganicInjectedBodyCountsOrganic(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprint(w, `{"error": "config key sql_injected_guard missing"}`)
 	})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     organic.ts.URL,
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{organic.ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		Rate:        200,
@@ -199,11 +199,11 @@ func TestOrganicInjectedBodyCountsOrganic(t *testing.T) {
 // X-Suu-Injected header onto the 500, and the harness ledgers it as
 // injected with zero organic 5xx.
 func TestInjectedComputeFaultMarked(t *testing.T) {
-	ts, _ := newTestServer(t, func(c *Config) {
+	ts := newTestServer(t, func(c *service.Config) {
 		c.ComputeHook = func() error { return &faults.InjectedError{Cause: "compute error"} }
 	})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "closed",
 		Concurrency: 2,
 		Duration:    200 * time.Millisecond,
@@ -230,9 +230,9 @@ func TestInjectedComputeFaultMarked(t *testing.T) {
 // shape labels, and the offered rate is the curve's mean, not the -rate
 // flag.
 func TestRunLoadShapedZipf(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	ts := newTestServer(t, nil)
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "open",
 		Arrival:     "poisson",
 		Curve:       "switching:300:100:200ms",
@@ -266,12 +266,12 @@ func TestRunLoadShapedZipf(t *testing.T) {
 // reconcile, and the recording of the replay matches the original
 // sequence record for record.
 func TestRecordReplay(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
+	ts := newTestServer(t, nil)
 	dir := t.TempDir()
 	orig, again := dir+"/orig.trace", dir+"/again.trace"
 
-	rep1, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	rep1, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		Curve:       "switching:400:100:200ms",
@@ -305,8 +305,8 @@ func TestRecordReplay(t *testing.T) {
 		t.Fatalf("trace header: %+v", tr1.Header)
 	}
 
-	rep2, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	rep2, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		ReplayPath:  orig,
 		ReplaySpeed: 2,
 		Concurrency: 64,
@@ -355,11 +355,11 @@ func TestRecordReplay(t *testing.T) {
 // that the header alone rebuilds the identical body pool: the item ledger
 // of the replay matches the original's per-request item counts.
 func TestReplayBatchRebuildsBodies(t *testing.T) {
-	ts, _ := newTestServer(t, func(c *Config) { c.QueueDepth = 256 })
+	ts := newTestServer(t, func(c *service.Config) { c.QueueDepth = 256 })
 	dir := t.TempDir()
 	path := dir + "/batch.trace"
-	cfg := LoadConfig{
-		BaseURL:     ts.URL,
+	cfg := Config{
+		URLs:        []string{ts.URL},
 		Mode:        "open",
 		Arrival:     "fixed",
 		Rate:        100,
@@ -372,15 +372,15 @@ func TestReplayBatchRebuildsBodies(t *testing.T) {
 		Seed:        5,
 		RecordPath:  path,
 	}
-	rep1, err := RunLoad(context.Background(), cfg)
+	rep1, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.Errors != 0 || rep1.Done == 0 {
 		t.Fatalf("batch recording: %+v", rep1)
 	}
-	rep2, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	rep2, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		ReplayPath:  path,
 		ReplaySpeed: 2,
 		Concurrency: 32,
@@ -404,10 +404,10 @@ func TestReplayBatchRebuildsBodies(t *testing.T) {
 // summarizer consumes: a traced server yields records whose sources name
 // cached/computed, and outcomes are all ok on a clean run.
 func TestRecordedOutcomesAndSources(t *testing.T) {
-	ts, _ := tracedServer(t, nil)
+	ts := tracedServer(t, nil)
 	path := t.TempDir() + "/traced.trace"
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL:     ts.URL,
+	rep, err := Run(context.Background(), Config{
+		URLs:        []string{ts.URL},
 		Mode:        "closed",
 		Concurrency: 4,
 		Duration:    300 * time.Millisecond,
@@ -435,25 +435,5 @@ func TestRecordedOutcomesAndSources(t *testing.T) {
 	}
 	if sources["computed"] == 0 || sources["cached"] == 0 {
 		t.Fatalf("recorded sources missing cached/computed split: %v", sources)
-	}
-}
-
-// TestWriteErrorInjectedHeader pins the unit seam: a typed injected error
-// gets the header, an organic error whose text merely says "injected"
-// does not.
-func TestWriteErrorInjectedHeader(t *testing.T) {
-	rr := httptest.NewRecorder()
-	writeError(rr, fmt.Errorf("wrapping: %w", &faults.InjectedError{Cause: "compute error"}))
-	if rr.Code != http.StatusInternalServerError || rr.Header().Get("X-Suu-Injected") == "" {
-		t.Fatalf("typed injected error: status %d, header %q", rr.Code, rr.Header().Get("X-Suu-Injected"))
-	}
-	rr = httptest.NewRecorder()
-	writeError(rr, fmt.Errorf("organic failure mentioning injected"))
-	if rr.Header().Get("X-Suu-Injected") != "" {
-		t.Fatal("organic error marked injected on body text")
-	}
-	var body map[string]string
-	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || body["error"] == "" {
-		t.Fatalf("error body: %s", rr.Body.String())
 	}
 }

@@ -122,9 +122,6 @@ func (g *Graph) link(u int, id int32) {
 // call (the reverse edge's residual capacity).
 func (g *Graph) Flow(id int) int64 { return g.cap[id^1] }
 
-// Capacity returns the remaining (residual) capacity of edge id.
-func (g *Graph) Capacity(id int) int64 { return g.cap[id] }
-
 // MaxFlow computes the maximum s-t flow. It may be called once per graph
 // (capacities are consumed).
 func (g *Graph) MaxFlow(s, t int) int64 {

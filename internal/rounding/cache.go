@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/model"
-	"repro/internal/sched"
 )
 
 // DefaultCacheCap is the entry bound NewCache applies. SEM inserts every
@@ -290,19 +289,4 @@ func (c *LP2Cache) RoundLP2Ws(ws *Workspace, ins *model.Instance, chains []dag.C
 	c.mu.Unlock()
 	ws.advanceLP2(ins, r.Basis, n, h)
 	return r, nil
-}
-
-// RoundLP1Naive is the ablation baseline for Lemma 2: solve the relaxation
-// exactly, then round each fractional assignment up independently
-// (x̂ = ⌈6x*⌉ wherever x* > 0) instead of routing a flow. Exported for the
-// A/rounding experiment.
-func RoundLP1Naive(ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
-	if len(jobs) == 0 {
-		return &LP1Result{Assignment: sched.NewAssignment(ins.M, ins.N)}, nil
-	}
-	xfrac, tstar, err := SolveLP1(ins, jobs, L)
-	if err != nil {
-		return nil, err
-	}
-	return RoundFractionalNaive(ins, jobs, L, xfrac, tstar)
 }

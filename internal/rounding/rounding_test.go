@@ -211,7 +211,11 @@ func TestNaiveRoundingLoadBlowup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := RoundLP1Naive(ins, jobs, 0.5)
+	xfrac, tstar, err := SolveLP1(ins, jobs, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := RoundFractionalNaive(ins, jobs, 0.5, xfrac, tstar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,9 @@ import (
 // reads them), so sharing one pointer across concurrent requests is
 // safe — the same contract cached responses already carry.
 
-// decodeCacheDefaultBytes bounds the raw-key bytes the cache retains
+// decodeCacheBytes bounds the raw-key bytes the planner's cache retains
 // (decoded instances cost the same order of memory as their JSON).
-const decodeCacheDefaultBytes = 32 << 20
+const decodeCacheBytes = 32 << 20
 
 type decodeCache struct {
 	mu    sync.Mutex
@@ -46,11 +46,8 @@ type decodeEntry struct {
 	ins *model.Instance
 }
 
-func newDecodeCache(capBytes int64) *decodeCache {
-	if capBytes <= 0 {
-		capBytes = decodeCacheDefaultBytes
-	}
-	return &decodeCache{cap: capBytes, ll: list.New(), items: make(map[uint64]*list.Element)}
+func newDecodeCache() *decodeCache {
+	return &decodeCache{cap: decodeCacheBytes, ll: list.New(), items: make(map[uint64]*list.Element)}
 }
 
 // hashRaw is FNV-1a over the raw instance bytes. Collisions are a

@@ -1,5 +1,6 @@
 // Package service turns the SUU library into a concurrent planning
-// service: the request/response half of cmd/suud.
+// service: the request/response half of cmd/suud. It holds only the
+// server; the load generator that drives it is internal/load.
 //
 // The pieces, in request order:
 //
@@ -14,7 +15,7 @@
 //     immediately with ErrOverloaded (HTTP 429) instead of building an
 //     unbounded goroutine backlog. Load shedding this early keeps p99
 //     bounded when the offered load exceeds capacity — the property the
-//     suuload open-loop harness exists to measure.
+//     suuload open-loop harness (internal/load) exists to measure.
 //   - Duplicate in-flight requests coalesce: requests are content-addressed
 //     by sched.Fingerprint (a canonical 128-bit hash of (m, n, q, prec)),
 //     and a singleflight group keyed by (fingerprint, kind, params) lets
@@ -167,7 +168,7 @@
 //   - Sampled responses carry an X-Suu-Trace header: the trace ID, the
 //     serving source (cached/computed/coalesced/degraded/batch), the
 //     total, and each nonzero stage as <stage>=<µs>[x<count>]. The client
-//     surfaces it as Result.Trace; suuload parses it
+//     surfaces it as Result.Trace; internal/load parses it
 //     (trace.ParseHeader) into a per-source server-side attribution table
 //     — where server time went, split by how the request was served.
 //   - /debug/traces serves a ring of recent traces and a slowest-N list

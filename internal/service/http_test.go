@@ -352,10 +352,8 @@ func TestHTTPMetricsBatchCounters(t *testing.T) {
 
 	fetch := func() MetricsSnapshot {
 		t.Helper()
-		snap, err := FetchMetrics(context.Background(), ts.Client(), ts.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var snap MetricsSnapshot
+		getJSON(t, ts, "/metrics", &snap)
 		return snap.check(t)
 	}
 
@@ -429,10 +427,8 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, hb)
 	}
 
-	snap, err := FetchMetrics(context.Background(), ts.Client(), ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var snap MetricsSnapshot
+	getJSON(t, ts, "/metrics", &snap)
 	if snap.Plans != 2 || snap.CacheHits != 1 || snap.CacheMisses == 0 {
 		t.Fatalf("metrics: %+v", snap)
 	}

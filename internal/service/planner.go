@@ -144,11 +144,6 @@ type Config struct {
 	// anti-entropy) before /readyz flips. The planner does not own its
 	// lifecycle — whoever built the store closes it, after Planner.Close.
 	Store store.PlanStore
-	// DecodeCacheBytes bounds the raw-key bytes of the decoded-instance
-	// cache the HTTP layer resolves request instances through (default
-	// 32 MiB; see decodecache.go). The cache cannot be disabled — it is
-	// byte-verified, so it only ever changes performance, not results.
-	DecodeCacheBytes int64
 	// TraceSample is the head-based request-trace sampling probability in
 	// [0, 1]. Errors, degraded responses, and slowest-N qualifiers are
 	// always kept when tracing is enabled. The default 0 together with
@@ -184,7 +179,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultTrials = 200
 	}
 	if c.DefaultTrials > c.MaxTrials {
-		// A tight -max-trials must not make trial-less requests
+		// A tight MaxTrials must not make trial-less requests
 		// unserveable against the larger default.
 		c.DefaultTrials = c.MaxTrials
 	}
@@ -269,7 +264,7 @@ func NewPlanner(cfg Config) *Planner {
 		cfg:     cfg,
 		metrics: newMetrics(),
 		mem:     store.NewMem(cfg.MemBytes, 0),
-		decode:  newDecodeCache(cfg.DecodeCacheBytes),
+		decode:  newDecodeCache(),
 		tracer: trace.NewTracer(trace.Config{
 			Sample: cfg.TraceSample,
 			Ring:   cfg.TraceRing,

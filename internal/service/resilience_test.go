@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/lp"
 	"repro/internal/sched"
 )
@@ -386,5 +387,25 @@ func TestShutdownUnderFire(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before the burst, %d after drain", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWriteErrorInjectedHeader pins the unit seam: a typed injected error
+// gets the header, an organic error whose text merely says "injected"
+// does not.
+func TestWriteErrorInjectedHeader(t *testing.T) {
+	rr := httptest.NewRecorder()
+	writeError(rr, fmt.Errorf("wrapping: %w", &faults.InjectedError{Cause: "compute error"}))
+	if rr.Code != http.StatusInternalServerError || rr.Header().Get("X-Suu-Injected") == "" {
+		t.Fatalf("typed injected error: status %d, header %q", rr.Code, rr.Header().Get("X-Suu-Injected"))
+	}
+	rr = httptest.NewRecorder()
+	writeError(rr, fmt.Errorf("organic failure mentioning injected"))
+	if rr.Header().Get("X-Suu-Injected") != "" {
+		t.Fatal("organic error marked injected on body text")
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("error body: %s", rr.Body.String())
 	}
 }
