@@ -48,8 +48,10 @@
 // value, loss of both primal and dual feasibility — abandons the warm path
 // and falls back to a cold solve, so SolveWarm is exactly as robust as
 // Solve and differs only in speed. This is the engine behind the
-// shrinking-subset/doubling-target re-solves of SUU-I-SEM and the
-// cross-block LP2 chain of SUU-T (see internal/rounding).
+// shrinking-subset/doubling-target re-solves of SUU-I-SEM, the
+// cross-block LP2 chain of SUU-T, and the crash bases every other LP1/LP2
+// solve starts from (see internal/rounding); a hint that is primal
+// feasible as installed needs no dual pivots at all.
 package lp
 
 import (
@@ -227,9 +229,14 @@ type Solver struct {
 	sp spState
 
 	// Diagnostics: solve counts by path, readable between solves.
-	ColdSolves    int // cold two-phase solves (including warm fallbacks)
-	WarmSolves    int // solves completed on the warm path
-	WarmFallbacks int // warm attempts abandoned to a cold solve
+	// ColdSolves counts phase-1 solves only: Solve calls, including the
+	// ones SolveWarm falls back to. WarmSolves counts SolveWarm calls that
+	// skipped phase 1, whatever basis the hint described (a previous
+	// solve's, or a constructed feasible one such as rounding's crash
+	// bases).
+	ColdSolves    int
+	WarmSolves    int
+	WarmFallbacks int // warm attempts abandoned to a phase-1 solve
 	// DenseFallbacks counts sparse solves abandoned to the dense engine
 	// after a numerical bailout (0 in practice).
 	DenseFallbacks int

@@ -103,9 +103,9 @@ func (c *Cache) RoundLP1(ins *model.Instance, jobs []int, L float64) (*LP1Result
 	return c.RoundLP1Ws(NewWorkspace(), ins, jobs, L)
 }
 
-// RoundLP1Ws is RoundLP1 computing misses on the caller's workspace (cold
-// solve — the workspace's warm chain is not consulted, so the cached value
-// is a pure function of the key).
+// RoundLP1Ws is RoundLP1 computing misses on the caller's workspace (a
+// crash-started solve — the workspace's warm chain is not consulted, so
+// the cached value is a pure function of the key).
 func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
 	if c == nil {
 		return ws.roundLP1(ins, jobs, L, false)
@@ -128,8 +128,9 @@ func (c *Cache) RoundLP1Ws(ws *Workspace, ins *model.Instance, jobs []int, L flo
 // next link of ws's warm chain, and advances the chain past it. The cache
 // key includes the chain history, so an entry is only reused by trials
 // whose whole re-solve chain matches — which makes the cached value a
-// deterministic function of the key even though warm and cold solves may
-// legitimately land on different optimal vertices. A chain's first link
+// deterministic function of the key even though chain-warm and
+// crash-started solves may legitimately land on different optimal
+// vertices. A chain's first link
 // has no history and shares its entry with RoundLP1Ws callers.
 func (c *Cache) RoundLP1Chained(ws *Workspace, ins *model.Instance, jobs []int, L float64) (*LP1Result, error) {
 	if c == nil {
@@ -211,7 +212,8 @@ func chainMix(chain, jobsHash uint64, l float64) uint64 {
 // decomposition block), so no bound is needed. Keys mix in the workspace's
 // LP2 chain history the way LP1's chained keys do, which keeps every
 // trial's rounding a deterministic function of its block sequence even
-// though warm and cold solves may land on different optimal vertices.
+// though chain-warm and crash-started solves may land on different
+// optimal vertices.
 // Safe for concurrent use.
 type LP2Cache struct {
 	mu sync.Mutex

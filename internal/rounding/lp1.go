@@ -10,8 +10,10 @@
 // Solving happens on per-goroutine Workspaces (one reusable lp.Solver
 // tableau plus problem-build arenas); SEM's shrinking-subset/doubling-
 // target round re-solves warm-start from the previous round's basis via
-// the workspace's chain (see Workspace), and Cache memoizes rounded
-// results under bounded, fixed-size keys.
+// the workspace's chain (see Workspace), every other solve starts from a
+// greedy crash basis that is feasible by construction, so phase 1 runs
+// only as a fall-back, and Cache memoizes rounded results under bounded,
+// fixed-size keys.
 package rounding
 
 import (

@@ -151,9 +151,11 @@ func (ws *Workspace) buildLP2(ins *model.Instance, chains []dag.Chain) (*lp.Prob
 // but the machine rows do: the previous block's machine-row basics (slack
 // vs t) are remapped onto this block's machine rows and every other row
 // defaults to its own slack/artificial, exactly the Workspace treatment
-// SEM's LP1 rounds get. Correctness never depends on the hint — the solver
-// falls back to a cold solve on any trouble. Advancing the chain is the
-// caller's job (advanceLP2), so cache hits can advance it identically.
+// SEM's LP1 rounds get. With no chain to extend, the solve starts from the
+// crash basis (crashLP2Hint) instead. Correctness never depends on the
+// hint — the solver falls back to a phase-1 solve on any trouble.
+// Advancing the chain is the caller's job (advanceLP2), so cache hits can
+// advance it identically.
 func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]float64, []float64, []int, float64, error) {
 	m := ins.M
 	p, jobs, err := ws.buildLP2(ins, chains)
@@ -167,12 +169,13 @@ func (ws *Workspace) solveLP2(ins *model.Instance, chains []dag.Chain) ([][]floa
 		ws.lp2LastBasis = nil
 		return make([][]float64, m), nil, nil, 0, nil
 	}
-	var sol *lp.Solution
+	var hint []int
 	if ws.lp2Compatible(ins) {
-		sol, err = ws.solver.SolveWarm(p, ws.buildLP2Hint(ins, chains, k))
+		hint = ws.buildLP2Hint(ins, chains, k)
 	} else {
-		sol, err = ws.solver.Solve(p)
+		hint = ws.crashLP2Hint(ins, chains, jobs)
 	}
+	sol, err := ws.solver.SolveWarm(p, hint)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("rounding: LP2 solve: %w", err)
 	}
@@ -228,6 +231,53 @@ func (ws *Workspace) buildLP2Hint(ins *model.Instance, chains []dag.Chain, k int
 	return hint
 }
 
+// crashLP2Hint builds a primal-feasible starting basis for (LP2) over the
+// flattened job list jobs, so a solve with no chain to extend still skips
+// phase 1. Each job, in order, goes whole to the machine b minimizing
+// load_b + 1/ℓ′_bj: its cover row takes x_{b,pos} = 1/ℓ′_bj, and its cap
+// row (b, pos) takes e_pos = x − 1 when x > 1 (otherwise the cap row keeps
+// its slack, as every other cap row does). Machine and chain rows keep
+// their slacks t − load_i and t − Σ max(1, x), except the binding row —
+// the largest of those loads and sums — which takes t.
+func (ws *Workspace) crashLP2Hint(ins *model.Instance, chains []dag.Chain, jobs []int) []int {
+	m, k := ins.M, len(jobs)
+	capRow := k + m + len(chains)
+	hint := resizeInts(ws.hint, capRow+m*k)
+	ws.hint = hint
+	for r := k; r < len(hint); r++ {
+		hint[r] = -1 - r
+	}
+	load := growFloats(ws.load, m)
+	ws.load = load
+	bind, most := -1, math.Inf(-1)
+	pos := 0
+	for c, chain := range chains {
+		sum := 0.0
+		for range chain {
+			j := jobs[pos]
+			b, after := crashMachine(ins, j, 1, load)
+			x := 1 / math.Min(ins.L[b][j], 1)
+			load[b] = after
+			hint[pos] = b*k + pos
+			if x > 1 {
+				hint[capRow+b*k+pos] = m*k + pos
+			}
+			sum += math.Max(1, x)
+			pos++
+		}
+		if sum > most {
+			bind, most = k+m+c, sum
+		}
+	}
+	for i := 0; i < m; i++ {
+		if load[i] > most {
+			bind, most = k+i, load[i]
+		}
+	}
+	hint[bind] = m*k + k
+	return hint
+}
+
 // BeginLP2 resets the LP2 cross-block chain. Call it before the first
 // block of an independent block sequence (SUU-T does, once per trial) so
 // chain state never leaks between Monte Carlo trials.
@@ -254,8 +304,8 @@ func (ws *Workspace) advanceLP2(ins *model.Instance, basis []int, k int, chainsH
 
 // lp2KeyHash is the cache-key hash for solving this chain structure as the
 // next block of the workspace's LP2 chain. With no chain history it equals
-// the plain structure hash, so a sequence's first (cold, deterministic)
-// block shares its cache entry with standalone SUU-C callers.
+// the plain structure hash, so a sequence's first (crash-started,
+// deterministic) block shares its cache entry with standalone SUU-C callers.
 func (ws *Workspace) lp2KeyHash(chainsHash uint64) uint64 {
 	if ws.lp2Hash != 0 {
 		return mix2(ws.lp2Hash, chainsHash)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/lp"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -28,12 +29,30 @@ func forestBlocks(t *testing.T, seed int64) (*model.Instance, [][]dag.Chain) {
 	return ins, blocks
 }
 
+// phase1LP2 solves the (LP2) relaxation over chains from the all-slack
+// basis with the two-phase Solve, bypassing every starting basis the
+// workspace would construct.
+func phase1LP2(t *testing.T, ins *model.Instance, chains []dag.Chain) float64 {
+	t.Helper()
+	ref := NewWorkspace()
+	p, _, err := ref.buildLP2(ins, chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := ref.solver.Solve(p)
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("phase-1 reference: %v %v", sol, err)
+	}
+	return sol.Obj
+}
+
 // TestLP2CrossBlockWarmMatchesCold drives one workspace through a forest
 // decomposition's block sequence — SUU-T's exact access pattern — with the
 // LP2 cross-block warm chain engaged, and checks every block's t* against
-// a cold standalone solve of the identical block. The warm path must
-// actually be attempted on the non-first blocks (lp2Compatible), or the
-// test proves nothing.
+// a phase-1 solve of the identical block. The warm path must actually be
+// attempted on chain links (blocks after the first, where lp2Compatible
+// holds), or the test proves nothing; crash-started first blocks do not
+// count.
 func TestLP2CrossBlockWarmMatchesCold(t *testing.T) {
 	for seed := int64(3); seed < 6; seed++ {
 		ins, blocks := forestBlocks(t, seed)
@@ -47,21 +66,19 @@ func TestLP2CrossBlockWarmMatchesCold(t *testing.T) {
 			if len(block) == 0 {
 				continue
 			}
+			link := ws.lp2Compatible(ins)
 			before := ws.solver.WarmSolves + ws.solver.WarmFallbacks
 			_, _, jobs, tWarm, err := ws.solveLP2(ins, block)
 			if err != nil {
 				t.Fatalf("seed %d block %d: %v", seed, bi, err)
 			}
-			if ws.solver.WarmSolves+ws.solver.WarmFallbacks > before {
+			if link && ws.solver.WarmSolves+ws.solver.WarmFallbacks > before {
 				attempts++
 			}
 			k := len(jobs)
 			h, _ := hashChains(block)
 			ws.advanceLP2(ins, ws.lp2LastBasis, k, h)
-			_, _, _, tCold, err := NewWorkspace().solveLP2(ins, block)
-			if err != nil {
-				t.Fatalf("seed %d block %d cold: %v", seed, bi, err)
-			}
+			tCold := phase1LP2(t, ins, block)
 			if diff := math.Abs(tWarm - tCold); diff > 1e-6*(1+math.Abs(tCold)) {
 				t.Fatalf("seed %d block %d: chained t* = %.9g, cold t* = %.9g (diff %g)",
 					seed, bi, tWarm, tCold, diff)

@@ -23,9 +23,12 @@ import (
 // remapped onto the new problem's columns (departed job columns dropped,
 // cover and machine rows re-indexed) and handed to lp.Solver.SolveWarm,
 // which skips phase 1 and repairs feasibility with dual pivots. Any other
-// request solves cold. Begin resets the chain; call it at the start of
-// each independent solve sequence (SEM does, once per subproblem) so state
-// never leaks between Monte Carlo trials.
+// request starts from a crash basis (crashLP1Hint; crashLP2Hint for LP2):
+// a greedy whole-job assignment that is primal feasible by construction,
+// so it skips phase 1 too and needs only primal phase-2 pivots. Phase 1
+// runs only when SolveWarm abandons a hint. Begin resets the chain; call
+// it at the start of each independent solve sequence (SEM does, once per
+// subproblem) so state never leaks between Monte Carlo trials.
 //
 // A Workspace is not safe for concurrent use. Monte Carlo workers should
 // each hold one for their whole trial stream; WorkspacePool hands them out.
@@ -37,6 +40,7 @@ type Workspace struct {
 	cbuf  []float64
 	terms []lp.Term
 	hint  []int
+	load  []float64 // per-machine loads of the crash bases
 
 	// warm chain: the previous LP1 solve this workspace can extend
 	chainIns   *model.Instance
@@ -67,12 +71,13 @@ func NewWorkspace() *Workspace {
 	return &Workspace{solver: lp.NewSolver()}
 }
 
-// Solver exposes the underlying LP solver (diagnostics: warm/cold counts).
+// Solver exposes the underlying LP solver (diagnostics: warm/cold counts;
+// crash-started solves count as warm).
 func (ws *Workspace) Solver() *lp.Solver { return ws.solver }
 
 // Begin resets the warm chain. Call it before the first solve of an
 // independent re-solve sequence; solves before the next chain link is
-// recorded run cold.
+// recorded start from the crash basis.
 func (ws *Workspace) Begin() {
 	if ws.chainIns != nil {
 		for _, j := range ws.chainJobs {
@@ -144,10 +149,11 @@ func (ws *Workspace) buildLP1(ins *model.Instance, jobs []int, L float64) (*lp.P
 
 // solveLP1 solves the LP1(jobs, L) relaxation on the workspace's solver.
 // With warm true it warm-starts from the chain when (jobs, L) extends it
-// (jobs ⊆ previous jobs, L = 2·previous L); correctness never depends on
-// the hint — the solver falls back to a cold solve on any trouble. The
-// returned x rows alias the Solution and stay valid until the caller drops
-// them; the basis is what advanceChain and LP1Result.Basis carry.
+// (jobs ⊆ previous jobs, L = 2·previous L), and starts from the crash
+// basis otherwise; correctness never depends on the hint — the solver
+// falls back to a phase-1 solve on any trouble. The returned x rows alias
+// the Solution and stay valid until the caller drops them; the basis is
+// what advanceChain and LP1Result.Basis carry.
 func (ws *Workspace) solveLP1(ins *model.Instance, jobs []int, L float64, warm bool) ([][]float64, float64, []int, error) {
 	if L <= 0 {
 		return nil, 0, nil, fmt.Errorf("rounding: target L = %g must be positive", L)
@@ -160,12 +166,13 @@ func (ws *Workspace) solveLP1(ins *model.Instance, jobs []int, L float64, warm b
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var sol *lp.Solution
+	var hint []int
 	if warm && ws.chainCompatible(ins, jobs, L) {
-		sol, err = ws.solver.SolveWarm(p, ws.buildHint(ins, jobs))
+		hint = ws.buildHint(ins, jobs)
 	} else {
-		sol, err = ws.solver.Solve(p)
+		hint = ws.crashLP1Hint(ins, jobs, L)
 	}
+	sol, err := ws.solver.SolveWarm(p, hint)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("rounding: LP1 solve: %w", err)
 	}
@@ -250,6 +257,48 @@ func (ws *Workspace) buildHint(ins *model.Instance, jobs []int) []int {
 	return hint
 }
 
+// crashLP1Hint builds a primal-feasible starting basis for LP1(jobs, L),
+// so a solve with no chain to extend still skips phase 1. Each job, in
+// order, goes whole to the machine b minimizing load_b + L/ℓ′_bj: its
+// cover row takes x_{b,pos} = L/ℓ′_bj. The busiest machine's row takes t
+// (= the maximum load) and every other machine row keeps its slack
+// t − load_i ≥ 0. The basis is triangular, hence nonsingular, and feasible
+// by construction.
+func (ws *Workspace) crashLP1Hint(ins *model.Instance, jobs []int, L float64) []int {
+	m, k := ins.M, len(jobs)
+	hint := resizeInts(ws.hint, k+m)
+	ws.hint = hint
+	load := growFloats(ws.load, m)
+	ws.load = load
+	for pos, j := range jobs {
+		b, after := crashMachine(ins, j, L, load)
+		load[b] = after
+		hint[pos] = b*k + pos
+	}
+	busy := 0
+	for i := 0; i < m; i++ {
+		hint[k+i] = -1 - (k + i)
+		if load[i] > load[busy] {
+			busy = i
+		}
+	}
+	hint[k+busy] = m * k
+	return hint
+}
+
+// crashMachine is the crash bases' greedy step: the machine b minimizing
+// load_b + L/ℓ′_bj, with ℓ′ = min(ℓ, L), and that sum, b's load once it
+// runs job j whole. Callers have checked that some ℓ′_bj is positive.
+func crashMachine(ins *model.Instance, j int, L float64, load []float64) (int, float64) {
+	b, after := 0, math.Inf(1)
+	for i, row := range ins.L {
+		if l := math.Min(row[j], L); l > 0 && load[i]+L/l < after {
+			b, after = i, load[i]+L/l
+		}
+	}
+	return b, after
+}
+
 // advanceChain records (jobs, L, basis) as the new chain tail so the next
 // solve on a subset at 2L can warm-start. A nil basis (empty job set)
 // resets the chain instead — there is nothing to extend.
@@ -288,8 +337,8 @@ func (ws *Workspace) advanceChain(ins *model.Instance, jobs []int, L float64, ba
 
 // chainKeyHash is the cache-key hash for solving (jobs, …) as the next
 // link of the current chain. With no chain history it equals the plain
-// hashJobs key, so a chain's first (cold, deterministic) solve shares its
-// cache entry with non-chained callers of the same subproblem.
+// hashJobs key, so a chain's first (crash-started, deterministic) solve
+// shares its cache entry with non-chained callers of the same subproblem.
 func (ws *Workspace) chainKeyHash(jobs []int) uint64 {
 	h := hashJobs(jobs)
 	if ws.chainHash != 0 {

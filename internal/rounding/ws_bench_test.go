@@ -34,12 +34,13 @@ func chainSets(ins *model.Instance, rounds int) [][]int {
 }
 
 // BenchmarkLP1SolveSparse pins the flagship solve — the n=128/m=32
-// full-set LP1, solved cold on the default (sparse revised simplex)
-// engine. CI holds its ns/op against the committed baseline
-// (.github/bench-baseline.txt): this is the solve the LU-factorized basis
-// and candidate pricing turned from ~250 ms (dense tableau) into
-// single-digit milliseconds, and a regression here means the sparse engine
-// rotted.
+// full-set LP1 with no chain to extend, solved from the crash basis on the
+// default (sparse revised simplex) engine. CI holds its ns/op against the
+// committed baseline (.github/bench-baseline.txt): this is the solve the
+// LU-factorized basis, candidate pricing and the crash basis turned from
+// ~250 ms (dense tableau) into under a millisecond; a regression here
+// means the sparse engine or the crash basis rotted
+// (TestColdMixSolvesSkipPhase1 tells the two apart).
 func BenchmarkLP1SolveSparse(b *testing.B) {
 	cell := workload.Spec{Family: "uniform", M: 32, N: 128, Seed: 9}
 	ins, err := workload.Generate(cell)
@@ -87,9 +88,10 @@ func BenchmarkRoundLP1(b *testing.B) {
 
 // BenchmarkLP1Solve pins the LP engine itself on the large Table-1 cells:
 // one iteration solves a whole SEM re-solve chain (full set at L=1/2, then
-// shrinking survivor subsets at doubling targets). The cold arm rebuilds a
-// dense tableau from scratch per solve (the pre-workspace engine); the
-// warm arm reuses one workspace and warm-starts every link after the first.
+// shrinking survivor subsets at doubling targets). The cold arm solves
+// every link on a fresh workspace, so each starts from the crash basis
+// with nothing to extend; the warm arm reuses one workspace and
+// warm-starts every link after the first from the previous basis.
 func BenchmarkLP1Solve(b *testing.B) {
 	for _, cell := range workload.Table1LargeCells() {
 		cell.Seed = 9

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
+	"hash/maphash"
 	"sync"
 
 	"repro/internal/model"
@@ -28,9 +29,28 @@ import (
 // reads them), so sharing one pointer across concurrent requests is
 // safe — the same contract cached responses already carry.
 
-// decodeCacheBytes bounds the raw-key bytes the planner's cache retains
-// (decoded instances cost the same order of memory as their JSON).
+// decodeCacheBytes bounds the memory the planner's cache retains. Each
+// entry is charged its raw bytes plus its decoded instance (entryBytes):
+// the Q and L matrices alone take 16·m·n bytes, comparable to the JSON
+// they came from, so a raw-bytes-only charge would let the cache hold
+// about twice its budget.
 const decodeCacheBytes = 32 << 20
+
+// decodeEntryOverhead approximates an entry's fixed cost: the list
+// element, the entry struct and its map slot.
+const decodeEntryOverhead = 160
+
+// entryBytes is what one entry is charged against the cache's budget: the
+// raw key bytes, the decoded instance's two m×n matrices with their row
+// headers, and the precedence DAG's adjacency lists, if any.
+func entryBytes(raw []byte, ins *model.Instance) int64 {
+	m, jobs := int64(ins.M), int64(ins.N)
+	n := int64(len(raw)) + decodeEntryOverhead + 2*m*(24+8*jobs)
+	if ins.Prec != nil {
+		n += 48*jobs + 16*int64(ins.Prec.Edges())
+	}
+	return n
+}
 
 type decodeCache struct {
 	mu    sync.Mutex
@@ -41,25 +61,23 @@ type decodeCache struct {
 }
 
 type decodeEntry struct {
-	key uint64
-	raw []byte
-	ins *model.Instance
+	key  uint64
+	raw  []byte
+	ins  *model.Instance
+	cost int64 // entryBytes(raw, ins), charged while the entry is held
 }
 
 func newDecodeCache() *decodeCache {
 	return &decodeCache{cap: decodeCacheBytes, ll: list.New(), items: make(map[uint64]*list.Element)}
 }
 
-// hashRaw is FNV-1a over the raw instance bytes. Collisions are a
-// performance event only (the byte-compare in get rejects them), so one
-// 64-bit lane is enough.
-func hashRaw(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0x100000001b3
-	}
-	return h
-}
+// rawSeed keys hashRaw for the life of the process.
+var rawSeed = maphash.MakeSeed()
+
+// hashRaw hashes the raw instance bytes with the runtime's word-at-a-time
+// hash. Collisions are a performance event only (the byte-compare in get
+// rejects them), so one 64-bit lane is enough.
+func hashRaw(b []byte) uint64 { return maphash.Bytes(rawSeed, b) }
 
 func (c *decodeCache) get(key uint64, raw []byte) (*model.Instance, bool) {
 	c.mu.Lock()
@@ -83,19 +101,21 @@ func (c *decodeCache) put(key uint64, raw []byte, ins *model.Instance) {
 		// Same key raced in twice (or a collision replaces its victim):
 		// keep the newest decode.
 		ent := e.Value.(*decodeEntry)
-		c.size += int64(len(raw)) - int64(len(ent.raw))
-		ent.raw, ent.ins = raw, ins
+		cost := entryBytes(raw, ins)
+		c.size += cost - ent.cost
+		ent.raw, ent.ins, ent.cost = raw, ins, cost
 		c.ll.MoveToFront(e)
 	} else {
-		c.items[key] = c.ll.PushFront(&decodeEntry{key: key, raw: raw, ins: ins})
-		c.size += int64(len(raw))
+		ent := &decodeEntry{key: key, raw: raw, ins: ins, cost: entryBytes(raw, ins)}
+		c.items[key] = c.ll.PushFront(ent)
+		c.size += ent.cost
 	}
 	for c.size > c.cap && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		ent := back.Value.(*decodeEntry)
 		c.ll.Remove(back)
 		delete(c.items, ent.key)
-		c.size -= int64(len(ent.raw))
+		c.size -= ent.cost
 	}
 }
 

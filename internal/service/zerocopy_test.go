@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dag"
+	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -296,6 +298,79 @@ func TestDecodeCacheSharesInstances(t *testing.T) {
 	if _, err := p.decodeInstance(json.RawMessage(`{"m":0,"n":0}`)); err == nil {
 		t.Fatal("invalid instance decoded without error")
 	}
+}
+
+// TestDecodeCacheChargesDecodedBytes pins the decode cache's memory
+// budget: every entry is charged its raw bytes plus its decoded instance,
+// and puts evict least-recently-used entries until the charged total is
+// back under the cap. The hot serving set — 256 n=64/m=16 instances —
+// must still fit the production budget whole.
+func TestDecodeCacheChargesDecodedBytes(t *testing.T) {
+	small, err := model.New(2, 3, [][]float64{{0.5, 0.5, 0.5}, {0.5, 0.5, 0.5}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, 100)
+	// raw bytes + fixed overhead + two 2×3 matrices with row headers.
+	want := int64(100 + decodeEntryOverhead + 2*2*(24+8*3))
+	if got := entryBytes(raw, small); got != want {
+		t.Fatalf("entryBytes = %d, want %d", got, want)
+	}
+	g := dag.New(3)
+	g.MustEdge(0, 1)
+	g.MustEdge(1, 2)
+	chained, err := model.New(2, 3, small.Q, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := entryBytes(raw, chained); got != want+48*3+16*2 {
+		t.Fatalf("entryBytes with a DAG = %d, want %d", got, want+48*3+16*2)
+	}
+
+	// Room for three entries: the fourth evicts the oldest, and a hit
+	// refreshes an entry so the next eviction passes it over.
+	c := newDecodeCache()
+	c.cap = 3 * want
+	for key := uint64(1); key <= 3; key++ {
+		c.put(key, raw, small)
+	}
+	if c.size != 3*want || c.ll.Len() != 3 {
+		t.Fatalf("three entries charged %d bytes in %d entries, want %d in 3", c.size, c.ll.Len(), 3*want)
+	}
+	if _, ok := c.get(1, raw); !ok {
+		t.Fatal("entry 1 missing before eviction")
+	}
+	c.put(4, raw, small)
+	if _, ok := c.get(2, raw); ok {
+		t.Fatal("least-recently-used entry 2 survived eviction")
+	}
+	for _, key := range []uint64{1, 3, 4} {
+		if _, ok := c.get(key, raw); !ok {
+			t.Fatalf("entry %d evicted, want it kept", key)
+		}
+	}
+	if c.size != 3*want {
+		t.Fatalf("charged %d bytes after eviction, want %d", c.size, 3*want)
+	}
+	// Re-putting a held key re-charges it at its new cost.
+	c.put(4, raw[:10], small)
+	if c.size != 3*want-90 {
+		t.Fatalf("re-put charged %d bytes, want %d", c.size, 3*want-90)
+	}
+
+	var hot int64
+	for seed := int64(0); seed < 256; seed++ {
+		req := testInstance(t, "uniform", 16, 64, seed)
+		raw, err := json.Marshal(req.Instance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot += entryBytes(raw, req.Instance)
+	}
+	if hot > decodeCacheBytes {
+		t.Fatalf("256 n=64/m=16 instances charge %d bytes, over the %d-byte budget", hot, decodeCacheBytes)
+	}
+	t.Logf("256 n=64/m=16 instances charge %.1f MiB of %d MiB", float64(hot)/(1<<20), decodeCacheBytes>>20)
 }
 
 // discardRW is a ResponseWriter for serving benchmarks: header map is
